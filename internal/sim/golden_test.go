@@ -10,6 +10,7 @@ import (
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/sim"
+	"github.com/groupdetect/gbd/internal/target"
 )
 
 // The golden values below were captured from the pre-optimization trial
@@ -189,4 +190,74 @@ func TestGoldenAnalysis(t *testing.T) {
 	}
 	exactf(t, "p2.DetectionProb", a2.DetectionProb, 0.87351290416808747)
 	exactf(t, "p2.RawTail", a2.RawTail, 0.87338945503962007)
+}
+
+// The pins below cover the campaign shapes the goldens above do not:
+// mixed fleets, multiple targets, the dwell-time sensing model and a
+// non-straight motion model. Their values were recorded before the trial
+// helpers were unified and must stay exact.
+
+func TestGoldenMixedCampaign(t *testing.T) {
+	p := detect.Defaults()
+	res, err := sim.RunMixed(sim.Config{Params: p, Trials: 300, Seed: 5, Workers: 2}, []detect.SensorClass{
+		{Count: 90, Rs: 800, Pd: 0.85},
+		{Count: 15, Rs: 2500, Pd: 0.95},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exacti(t, "Detections", res.Detections, 229)
+	exactf(t, "MeanReports", res.MeanReports, 9.836666666666666)
+	exactf(t, "Latency.Mean", res.Latency.Mean(), 10.087336244541484)
+	exactf(t, "CI.Lo", res.CI.Lo, 0.71209574486994798)
+}
+
+func TestGoldenMultiCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		scheme        field.RNGScheme
+		per0, per1    float64
+		all, any, ciL float64
+	}{
+		{field.SchemeLegacy, 0.82666666666666666, 0.79000000000000004, 0.65666666666666662, 0.95999999999999996, 0.77491532731669377},
+		{field.SchemePhilox, 0.84666666666666668, 0.77666666666666662, 0.67333333333333334, 0.94999999999999996, 0.77843580216688324},
+	} {
+		res, err := sim.RunMulti(sim.Config{
+			Params: detect.Defaults(), Trials: 300, Seed: 17, Workers: 2, RNG: tc.scheme,
+		}, 2, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tc.scheme.String()
+		exactf(t, name+".PerTarget[0]", res.PerTarget[0], tc.per0)
+		exactf(t, name+".PerTarget[1]", res.PerTarget[1], tc.per1)
+		exactf(t, name+".AllDetected", res.AllDetected, tc.all)
+		exactf(t, name+".AnyDetected", res.AnyDetected, tc.any)
+		exactf(t, name+".CI.Lo", res.CI.Lo, tc.ciL)
+	}
+}
+
+func TestGoldenExposureCampaign(t *testing.T) {
+	res, err := sim.Run(sim.Config{
+		Params: detect.Defaults(), Trials: 300, Seed: 23, Workers: 3, ExposureLambda: 0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exacti(t, "Detections", res.Detections, 77)
+	exactf(t, "MeanReports", res.MeanReports, 3.1833333333333331)
+	exactf(t, "Latency.Mean", res.Latency.Mean(), 14.064935064935066)
+}
+
+func TestGoldenRandomWalkCampaign(t *testing.T) {
+	p := detect.Defaults()
+	res, err := sim.Run(sim.Config{
+		Params: p, Trials: 300, Seed: 29, Workers: 2,
+		Model: target.RandomWalk{Step: p.Vt(), MaxTurn: math.Pi / 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exacti(t, "Detections", res.Detections, 247)
+	exactf(t, "MeanReports", res.MeanReports, 9.2566666666666659)
+	exactf(t, "Latency.Mean", res.Latency.Mean(), 10.607287449392713)
 }
