@@ -113,13 +113,3 @@ func SApproachCost(p Params, g int) float64 {
 	}
 	return math.Pow(ms, 2*float64(g))
 }
-
-// MSApproachCost returns the paper's M-S-approach complexity estimate
-// O(ms^(2gh) + (M-1) * ms^(2g)).
-func MSApproachCost(p Params, gh, g int) float64 {
-	ms := float64(p.Ms())
-	if ms < 2 {
-		ms = 2
-	}
-	return math.Pow(ms, 2*float64(gh)) + float64(p.M-1)*math.Pow(ms, 2*float64(g))
-}

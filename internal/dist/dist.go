@@ -260,28 +260,6 @@ func MaxAbsDiff(p, q PMF) float64 {
 	return maxd
 }
 
-// TotalVariation returns the total variation distance between p and q
-// (half the L1 distance), treating missing entries as zero. For
-// sub-stochastic inputs it compares the raw mass functions.
-func TotalVariation(p, q PMF) float64 {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	var sum numeric.Kahan
-	for i := 0; i < n; i++ {
-		var a, b float64
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		sum.Add(math.Abs(a - b))
-	}
-	return sum.Sum() / 2
-}
-
 // Quantile returns the smallest k with CDF(k) >= q under the normalized
 // distribution, or an error for q outside (0, 1] or zero-mass p.
 func (p PMF) Quantile(q float64) (int, error) {

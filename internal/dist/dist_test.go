@@ -245,25 +245,6 @@ func TestMaxAbsDiffLengths(t *testing.T) {
 	}
 }
 
-func TestTotalVariation(t *testing.T) {
-	p := PMF{0.5, 0.5}
-	q := PMF{0.25, 0.75}
-	if got := TotalVariation(p, q); !numeric.AlmostEqual(got, 0.25, 1e-12, 1e-12) {
-		t.Errorf("TV = %v, want 0.25", got)
-	}
-	if got := TotalVariation(p, p); got != 0 {
-		t.Errorf("TV(p,p) = %v", got)
-	}
-	// Disjoint supports: TV = 1.
-	if got := TotalVariation(PMF{1}, PMF{0, 1}); !numeric.AlmostEqual(got, 1, 1e-12, 1e-12) {
-		t.Errorf("disjoint TV = %v", got)
-	}
-	// Length mismatch treated as zeros.
-	if got := TotalVariation(PMF{1}, PMF{1, 0}); got != 0 {
-		t.Errorf("padded TV = %v", got)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	p := Binomial(10, 0.5)
 	med, err := p.Quantile(0.5)

@@ -243,7 +243,6 @@ func CommCheck(opt Options) (*Table, error) {
 		ns = []int{60, 240}
 	}
 	bounds := geom.Square(32000)
-	center := geom.Point{X: 16000, Y: 16000}
 	type commPoint struct {
 		Components int
 		Stats      netsim.DeliveryStats
@@ -254,12 +253,7 @@ func CommCheck(opt Options) (*Table, error) {
 		if err != nil {
 			return commPoint{}, err
 		}
-		base := 0
-		for i, p := range pts {
-			if p.Dist(center) < pts[base].Dist(center) {
-				base = i
-			}
-		}
+		base := netsim.CenterNode(pts, bounds)
 		net, err := netsim.New(pts, 6000, bounds)
 		if err != nil {
 			return commPoint{}, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/groupdetect/gbd/internal/geom"
 )
@@ -15,27 +16,24 @@ var ErrDeploy = errors.New("field: invalid deployment")
 // Uniform places n sensors independently and uniformly at random in bounds —
 // the deployment model the paper assumes (Section 2).
 func Uniform(n int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	return UniformInto(nil, n, bounds, rng)
+	return AppendUniform(make([]geom.Point, 0, max(n, 0)), n, bounds, rng)
 }
 
-// UniformInto is Uniform drawing into dst's backing array (grown as
-// needed), so a simulation loop can redeploy without allocating. The draws
-// are identical to Uniform's.
-func UniformInto(dst []geom.Point, n int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
+// AppendUniform is Uniform appending the n sensors to dst (grown as
+// needed), so a simulation loop can redeploy, class after class, without
+// allocating. The draws are identical to Uniform's: X then Y per sensor.
+func AppendUniform(dst []geom.Point, n int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("n = %d: %w", n, ErrDeploy)
 	}
 	if bounds.Area() <= 0 {
 		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
 	}
-	if cap(dst) < n {
-		dst = make([]geom.Point, n)
-	} else {
-		dst = dst[:n]
-	}
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
 	w := bounds.MaxX - bounds.MinX
 	h := bounds.MaxY - bounds.MinY
-	for i := range dst {
+	for i := off; i < len(dst); i++ {
 		dst[i] = geom.Point{
 			X: bounds.MinX + rng.Float64()*w,
 			Y: bounds.MinY + rng.Float64()*h,
@@ -73,45 +71,4 @@ func Grid(n int, bounds geom.Rect) ([]geom.Point, error) {
 		})
 	}
 	return pts, nil
-}
-
-// Clustered places sensors in clusters: cluster centers are uniform in
-// bounds and members are Gaussian around their center (clipped to bounds).
-// It models correlated deployments (e.g. airdropped batches) used in the
-// boundary/robustness ablations.
-func Clustered(clusters, perCluster int, sigma float64, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	if clusters < 0 || perCluster < 0 {
-		return nil, fmt.Errorf("clusters = %d, perCluster = %d: %w", clusters, perCluster, ErrDeploy)
-	}
-	if sigma < 0 {
-		return nil, fmt.Errorf("sigma = %v: %w", sigma, ErrDeploy)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
-	}
-	centers, err := Uniform(clusters, bounds, rng)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]geom.Point, 0, clusters*perCluster)
-	for _, c := range centers {
-		for i := 0; i < perCluster; i++ {
-			p := geom.Point{
-				X: clip(c.X+rng.NormFloat64()*sigma, bounds.MinX, bounds.MaxX),
-				Y: clip(c.Y+rng.NormFloat64()*sigma, bounds.MinY, bounds.MaxY),
-			}
-			pts = append(pts, p)
-		}
-	}
-	return pts, nil
-}
-
-func clip(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -121,31 +121,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestClustered(t *testing.T) {
-	bounds := geom.Square(1000)
-	pts, err := Clustered(5, 10, 20, bounds, NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 50 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if !bounds.Contains(p) {
-			t.Fatalf("point %v outside bounds", p)
-		}
-	}
-	if _, err := Clustered(-1, 5, 1, bounds, NewRand(1)); err == nil {
-		t.Error("negative clusters should fail")
-	}
-	if _, err := Clustered(1, 5, -1, bounds, NewRand(1)); err == nil {
-		t.Error("negative sigma should fail")
-	}
-	if _, err := Clustered(1, 5, 1, geom.Rect{}, NewRand(1)); err == nil {
-		t.Error("empty bounds should fail")
-	}
-}
-
 func TestIndexQuerySegmentMatchesBruteForce(t *testing.T) {
 	bounds := geom.Square(1000)
 	rng := NewRand(7)

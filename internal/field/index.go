@@ -40,6 +40,13 @@ func NewIndex(points []geom.Point, bounds geom.Rect, cellSize float64) (*Index, 
 	return idx, nil
 }
 
+// CellSize picks an index cell on the order of the sensing range rs,
+// bounded below by side/256 so tiny ranges in huge fields do not explode
+// the cell count.
+func CellSize(rs, side float64) float64 {
+	return math.Max(rs, side/256)
+}
+
 // checkGrid validates Rebuild's grid parameters.
 func checkGrid(bounds geom.Rect, cellSize float64) error {
 	if bounds.Area() <= 0 {

@@ -88,3 +88,33 @@ func DeriveSeed(base int64, stream int64) int64 {
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
+
+// Stream is a reusable generator that At positions at the start of any
+// (seed, id) stream under either scheme without allocating, so a worker
+// can walk many trial streams on one Stream.
+type Stream struct {
+	legacy *rand.Rand
+	philox Philox
+	prand  *rand.Rand // rand.New(&philox), built once
+}
+
+// NewStream returns a Stream; position it with At before drawing.
+func NewStream() *Stream {
+	s := &Stream{legacy: NewRand(0)}
+	s.prand = rand.New(&s.philox)
+	return s
+}
+
+// At points the generator at stream id of seed under scheme and returns
+// it; the result is valid until the next At. Legacy reseeds the
+// lagged-Fibonacci generator with DeriveSeed(seed, id), yielding the same
+// draws as NewRand(DeriveSeed(seed, id)) without reallocating its state;
+// Philox resets the counter words in O(1).
+func (s *Stream) At(scheme RNGScheme, seed, id int64) *rand.Rand {
+	if scheme == SchemePhilox {
+		s.philox.Reset(seed, id)
+		return s.prand
+	}
+	s.legacy.Seed(DeriveSeed(seed, id))
+	return s.legacy
+}

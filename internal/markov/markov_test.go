@@ -198,28 +198,11 @@ func TestEvolveValidation(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	a := mustChain(t, [][]float64{{0, 1}, {0, 1}})
-	b := mustChain(t, [][]float64{{1, 0}, {1, 0}})
-	ab, err := Compose(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := ab.Step([]float64{1, 0})
-	// a sends 0 -> 1, then b sends 1 -> 0.
-	if v[0] != 1 {
-		t.Errorf("composed step = %v, want mass back at 0", v)
-	}
-	c3 := mustChain(t, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
-	if _, err := Compose(a, c3); err == nil {
-		t.Error("mismatched sizes should fail")
-	}
-}
-
 func TestStationaryTwoState(t *testing.T) {
-	// Birth-death chain with known stationary distribution.
+	// Birth-death chain with known stationary distribution; Evolve's
+	// repeated-squaring path must converge onto it from any start.
 	c := mustChain(t, [][]float64{{0.9, 0.1}, {0.3, 0.7}})
-	pi, err := c.Stationary(1e-12, 10000)
+	pi, err := c.Evolve([]float64{0, 1}, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,60 +212,31 @@ func TestStationaryTwoState(t *testing.T) {
 	}
 }
 
-func TestStationaryRejectsSubStochastic(t *testing.T) {
-	sub, _ := matrix.FromRows([][]float64{{0.4, 0.4}, {0.2, 0.7}})
-	c, err := New(sub, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Stationary(1e-9, 100); err == nil {
-		t.Error("sub-stochastic stationary should fail")
-	}
-}
-
-func TestStationaryNonConvergent(t *testing.T) {
-	// Period-2 chain never converges under power iteration from any
-	// non-stationary start; from uniform it actually is stationary, so use
-	// a 3-cycle and low iteration cap with a tiny tolerance to exercise the
-	// failure path via maxIter=0.
-	c := mustChain(t, [][]float64{{0, 1}, {1, 0}})
-	if _, err := c.Stationary(1e-15, 0); err == nil {
-		t.Error("maxIter=0 should fail")
-	}
-}
-
-func TestAbsorptionGamblersRuin(t *testing.T) {
-	// States 0..4; 0 and 4 absorbing; fair coin flips in between.
-	c := mustChain(t, [][]float64{
+// gamblersRuin is the symmetric walk on 0..4 with absorbing ends.
+func gamblersRuin(t *testing.T) *Chain {
+	return mustChain(t, [][]float64{
 		{1, 0, 0, 0, 0},
 		{0.5, 0, 0.5, 0, 0},
 		{0, 0.5, 0, 0.5, 0},
 		{0, 0, 0.5, 0, 0.5},
 		{0, 0, 0, 0, 1},
 	})
-	h, err := c.AbsorptionProbability([]int{4}, 1e-12, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fair gambler's ruin: P[hit 4 | start s] = s/4.
-	for s := 0; s <= 4; s++ {
-		want := float64(s) / 4
-		if !numeric.AlmostEqual(h[s], want, 1e-6, 1e-6) {
-			t.Errorf("h[%d] = %v, want %v", s, h[s], want)
-		}
-	}
 }
 
-func TestAbsorptionValidation(t *testing.T) {
-	c := mustChain(t, [][]float64{{0.5, 0.5}, {0, 1}})
-	if _, err := c.AbsorptionProbability([]int{5}, 1e-9, 100); err == nil {
-		t.Error("out-of-range state should fail")
-	}
-	if _, err := c.AbsorptionProbability([]int{0}, 1e-9, 100); err == nil {
-		t.Error("non-absorbing state should fail")
-	}
-	if _, err := c.AbsorptionProbability([]int{1}, 1e-15, 0); err == nil {
-		t.Error("maxIter=0 should fail")
+func TestAbsorptionGamblersRuin(t *testing.T) {
+	c := gamblersRuin(t)
+	// Fair gambler's ruin: P[hit 4 | start s] = s/4, the mass Evolve
+	// leaves in state 4 once the walk has (all but) surely stopped.
+	for s := 0; s <= 4; s++ {
+		v := make([]float64, 5)
+		v[s] = 1
+		end, err := c.Evolve(v, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(s) / 4; !numeric.AlmostEqual(end[4], want, 1e-6, 1e-6) {
+			t.Errorf("start %d: P[absorbed at 4] = %v, want %v", s, end[4], want)
+		}
 	}
 }
 
@@ -299,45 +253,23 @@ func TestStatesAndMatrixCopy(t *testing.T) {
 }
 
 func TestHittingTimeGamblersRuin(t *testing.T) {
-	// Symmetric walk on 0..4 with absorbing ends: expected time to hit
-	// {0, 4} from state s is s*(4-s).
-	c := mustChain(t, [][]float64{
-		{1, 0, 0, 0, 0},
-		{0.5, 0, 0.5, 0, 0},
-		{0, 0.5, 0, 0.5, 0},
-		{0, 0, 0.5, 0, 0.5},
-		{0, 0, 0, 0, 1},
-	})
-	h, err := c.HittingTime([]int{0, 4}, 1e-12, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := gamblersRuin(t)
+	// Expected time to hit {0, 4} from state s is s*(4-s); it is the sum
+	// over steps of the mass Step has not yet absorbed.
 	for s := 0; s <= 4; s++ {
-		want := float64(s * (4 - s))
-		if !numeric.AlmostEqual(h[s], want, 1e-6, 1e-6) {
-			t.Errorf("h[%d] = %v, want %v", s, h[s], want)
+		v := make([]float64, 5)
+		v[s] = 1
+		h := 0.0
+		for step := 0; step < 1000; step++ {
+			h += 1 - v[0] - v[4]
+			var err error
+			if v, err = c.Step(v); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-}
-
-func TestHittingTimeValidation(t *testing.T) {
-	c := mustChain(t, [][]float64{{0.5, 0.5}, {0, 1}})
-	if _, err := c.HittingTime(nil, 1e-9, 100); err == nil {
-		t.Error("empty target set should fail")
-	}
-	if _, err := c.HittingTime([]int{5}, 1e-9, 100); err == nil {
-		t.Error("out-of-range target should fail")
-	}
-	if _, err := c.HittingTime([]int{1}, 1e-15, 0); err == nil {
-		t.Error("maxIter=0 should fail")
-	}
-	sub, _ := matrix.FromRows([][]float64{{0.4, 0.4}, {0, 0.9}})
-	sc, err := New(sub, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.HittingTime([]int{1}, 1e-9, 100); err == nil {
-		t.Error("sub-stochastic chain should fail")
+		if want := float64(s * (4 - s)); !numeric.AlmostEqual(h, want, 1e-6, 1e-6) {
+			t.Errorf("start %d: hitting time %v, want %v", s, h, want)
+		}
 	}
 }
 

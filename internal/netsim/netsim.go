@@ -40,6 +40,20 @@ type Network struct {
 	routes map[int]*Routing // lazily built all-alive tables, keyed by base
 }
 
+// CenterNode returns the node nearest the center of bounds (the lowest
+// id on ties, 0 when there are no nodes): the base-station site the
+// simulators and audits use.
+func CenterNode(nodes []geom.Point, bounds geom.Rect) int {
+	center := geom.Point{X: (bounds.MinX + bounds.MaxX) / 2, Y: (bounds.MinY + bounds.MaxY) / 2}
+	base := 0
+	for i, s := range nodes {
+		if s.Dist(center) < nodes[base].Dist(center) {
+			base = i
+		}
+	}
+	return base
+}
+
 // New builds the unit-disk graph: nodes are adjacent when within commRange
 // of each other. bounds must contain the deployment (it sizes the internal
 // spatial index).

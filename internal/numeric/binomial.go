@@ -1,7 +1,6 @@
 package numeric
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -71,19 +70,3 @@ func BinomialMean(n int, p float64) float64 { return float64(n) * p }
 
 // BinomialVariance returns the variance n*p*(1-p) of Binomial(n, p).
 func BinomialVariance(n int, p float64) float64 { return float64(n) * p * (1 - p) }
-
-// BinomialQuantile returns the smallest k with P[X <= k] >= q for
-// X ~ Binomial(n, p). It returns an error for q outside (0, 1].
-func BinomialQuantile(n int, p, q float64) (int, error) {
-	if q <= 0 || q > 1 {
-		return 0, fmt.Errorf("binomial quantile q=%v: %w", q, ErrDomain)
-	}
-	var cdf Kahan
-	for k := 0; k <= n; k++ {
-		cdf.Add(BinomialPMF(n, k, p))
-		if cdf.Sum() >= q {
-			return k, nil
-		}
-	}
-	return n, nil
-}

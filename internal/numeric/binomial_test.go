@@ -115,47 +115,6 @@ func TestBinomialMoments(t *testing.T) {
 	}
 }
 
-func TestBinomialQuantile(t *testing.T) {
-	// Median of Binomial(10, 0.5) is 5.
-	k, err := BinomialQuantile(10, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 5 {
-		t.Errorf("median = %d, want 5", k)
-	}
-	// q=1 returns n at most.
-	k, err = BinomialQuantile(10, 0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 10 {
-		t.Errorf("q=1 quantile = %d, want 10", k)
-	}
-	if _, err := BinomialQuantile(10, 0.5, 0); err == nil {
-		t.Error("q=0 should error")
-	}
-	if _, err := BinomialQuantile(10, 0.5, 1.5); err == nil {
-		t.Error("q>1 should error")
-	}
-}
-
-func TestBinomialQuantileInvertsCDF(t *testing.T) {
-	n, p := 60, 0.2
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.9999} {
-		k, err := BinomialQuantile(n, p, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if BinomialCDF(n, k, p) < q-1e-12 {
-			t.Errorf("CDF(%d) = %v < q = %v", k, BinomialCDF(n, k, p), q)
-		}
-		if k > 0 && BinomialCDF(n, k-1, p) >= q {
-			t.Errorf("quantile %d not minimal for q=%v", k, q)
-		}
-	}
-}
-
 func TestKahanBeatsNaiveSum(t *testing.T) {
 	// Summing 1 followed by many tiny values: naive summation drops them.
 	var k Kahan

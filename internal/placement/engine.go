@@ -12,6 +12,7 @@ import (
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/stats"
+	"github.com/groupdetect/gbd/internal/sweep"
 	"github.com/groupdetect/gbd/internal/target"
 )
 
@@ -24,34 +25,6 @@ const (
 	chUniform = 1 // the uniform-baseline deployment and its detection draws
 	chPattern = 2 // + class*candidates + candidate: that pair's detection draws
 )
-
-// maxConfineAttempts bounds track rejection sampling, matching
-// internal/sim's generous bound.
-const maxConfineAttempts = 10000
-
-// stream is a per-worker reusable RNG positioned at one stream id.
-type stream struct {
-	legacy *rand.Rand
-	phil   field.Philox
-	philR  *rand.Rand
-}
-
-func newStream() *stream {
-	s := &stream{legacy: field.NewRand(0)}
-	s.philR = rand.New(&s.phil)
-	return s
-}
-
-// at points the generator at stream id under the scheme: an O(1) counter
-// reset for Philox, a DeriveSeed reseed for the legacy scheme.
-func (s *stream) at(scheme field.RNGScheme, seed, id int64) *rand.Rand {
-	if scheme == field.SchemePhilox {
-		s.phil.Reset(seed, id)
-		return s.philR
-	}
-	s.legacy.Seed(field.DeriveSeed(seed, id))
-	return s.legacy
-}
 
 // engine holds the precomputed objective state: the track panel and the
 // per-(class, candidate) per-trial report counts.
@@ -124,47 +97,36 @@ func (e *engine) sampleTracks(ctx context.Context) error {
 	e.tracks = make([]geom.Point, trials*(p.M+1))
 	e.bbox = make([]geom.Rect, trials)
 	stride := e.stride()
-	return parallelStripe(min(e.cfg.Workers, trials), func(w int) error {
-		st := newStream()
-		for t := w; t < trials; t += e.cfg.Workers {
-			if t&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			rng := st.at(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chTrack)
-			track, err := e.sampleTrack(model, rng)
-			if err != nil {
-				return err
-			}
-			copy(e.tracks[t*(p.M+1):], track)
-			box := geom.Rect{MinX: track[0].X, MinY: track[0].Y, MaxX: track[0].X, MaxY: track[0].Y}
-			for _, pt := range track[1:] {
-				box.MinX = math.Min(box.MinX, pt.X)
-				box.MinY = math.Min(box.MinY, pt.Y)
-				box.MaxX = math.Max(box.MaxX, pt.X)
-				box.MaxY = math.Max(box.MaxY, pt.Y)
-			}
-			e.bbox[t] = box
+	return e.stripe(ctx, trials, func(st *field.Stream, _, t int) error {
+		rng := st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chTrack)
+		track, err := target.Sample(model, p.M, e.bounds, true, rng)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrConfig, err)
 		}
+		copy(e.tracks[t*(p.M+1):], track)
+		box := geom.Rect{MinX: track[0].X, MinY: track[0].Y, MaxX: track[0].X, MaxY: track[0].Y}
+		for _, pt := range track[1:] {
+			box.MinX = math.Min(box.MinX, pt.X)
+			box.MinY = math.Min(box.MinY, pt.Y)
+			box.MaxX = math.Max(box.MaxX, pt.X)
+			box.MaxY = math.Max(box.MaxY, pt.Y)
+		}
+		e.bbox[t] = box
 		return nil
 	})
 }
 
-func (e *engine) sampleTrack(model target.Model, rng *rand.Rand) ([]geom.Point, error) {
-	for a := 0; a < maxConfineAttempts; a++ {
-		start := geom.Point{
-			X: e.bounds.MinX + rng.Float64()*(e.bounds.MaxX-e.bounds.MinX),
-			Y: e.bounds.MinY + rng.Float64()*(e.bounds.MaxY-e.bounds.MinY),
+// stripe runs body over [0, n) on up to cfg.Workers workers through
+// sweep.Stripe, handing worker w its own reusable stream.
+func (e *engine) stripe(ctx context.Context, n int, body func(st *field.Stream, w, i int) error) error {
+	workers := min(e.cfg.Workers, n)
+	streams := make([]*field.Stream, workers)
+	return sweep.Stripe(ctx, workers, n, func(w, i int) error {
+		if streams[w] == nil {
+			streams[w] = field.NewStream()
 		}
-		theta := rng.Float64() * 2 * math.Pi
-		track, err := model.Track(start, theta, e.cfg.Base.M, rng)
-		if err != nil {
-			return nil, err
-		}
-		if target.InBounds(track, e.bounds) {
-			return track, nil
-		}
-	}
-	return nil, fmt.Errorf("no confined track in %d attempts: %w", maxConfineAttempts, ErrConfig)
+		return body(streams[w], w, i)
+	})
 }
 
 // countPatterns fills counts: for each (class, candidate) pattern j and
@@ -179,41 +141,35 @@ func (e *engine) countPatterns(ctx context.Context) error {
 	nPatterns := len(e.cfg.Classes) * nCands
 	e.counts = make([]uint16, nPatterns*trials)
 	stride := e.stride()
-	return parallelStripe(min(e.cfg.Workers, nPatterns), func(w int) error {
-		st := newStream()
-		for j := w; j < nPatterns; j += e.cfg.Workers {
-			if ctx.Err() != nil {
-				return ctx.Err()
+	return e.stripe(ctx, nPatterns, func(st *field.Stream, _, j int) error {
+		cls := e.cfg.Classes[j/nCands]
+		cand := e.cands[j%nCands]
+		rs2 := cls.Rs * cls.Rs
+		row := e.counts[j*trials : (j+1)*trials]
+		for t := 0; t < trials; t++ {
+			// Candidates beyond Rs of the track's bounding box cannot be
+			// in range in any period: no draws, count 0.
+			box := e.bbox[t]
+			if cand.X < box.MinX-cls.Rs || cand.X > box.MaxX+cls.Rs ||
+				cand.Y < box.MinY-cls.Rs || cand.Y > box.MaxY+cls.Rs {
+				continue
 			}
-			cls := e.cfg.Classes[j/nCands]
-			cand := e.cands[j%nCands]
-			rs2 := cls.Rs * cls.Rs
-			row := e.counts[j*trials : (j+1)*trials]
-			for t := 0; t < trials; t++ {
-				// Candidates beyond Rs of the track's bounding box cannot
-				// be in range in any period: no draws, count 0.
-				box := e.bbox[t]
-				if cand.X < box.MinX-cls.Rs || cand.X > box.MaxX+cls.Rs ||
-					cand.Y < box.MinY-cls.Rs || cand.Y > box.MaxY+cls.Rs {
+			track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
+			var rng *rand.Rand
+			n := uint16(0)
+			for period := 1; period <= p.M; period++ {
+				seg := geom.Segment{A: track[period-1], B: track[period]}
+				if seg.Dist2(cand) > rs2 {
 					continue
 				}
-				track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
-				var rng *rand.Rand
-				n := uint16(0)
-				for period := 1; period <= p.M; period++ {
-					seg := geom.Segment{A: track[period-1], B: track[period]}
-					if seg.Dist2(cand) > rs2 {
-						continue
-					}
-					if rng == nil {
-						rng = st.at(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chPattern+int64(j))
-					}
-					if rng.Float64() < cls.Pd {
-						n++
-					}
+				if rng == nil {
+					rng = st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chPattern+int64(j))
 				}
-				row[t] = n
+				if rng.Float64() < cls.Pd {
+					n++
+				}
 			}
+			row[t] = n
 		}
 		return nil
 	})
@@ -453,47 +409,34 @@ func (e *engine) uniformBaseline(ctx context.Context) (int, error) {
 	p := e.cfg.Base
 	trials := e.cfg.Trials
 	stride := e.stride()
-	workers := min(e.cfg.Workers, trials)
-	detectedBy := make([]int, workers)
-	err := parallelStripe(workers, func(w int) error {
-		st := newStream()
-		pos := make([]geom.Point, e.total)
-		cls := make([]int, e.total)
-		for t := w; t < trials; t += e.cfg.Workers {
-			if t&63 == 0 && ctx.Err() != nil {
-				return ctx.Err()
+	detectedBy := make([]int, e.cfg.Workers)
+	pos := make([][]geom.Point, e.cfg.Workers)
+	err := e.stripe(ctx, trials, func(st *field.Stream, w, t int) error {
+		rng := st.At(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chUniform)
+		deployed := pos[w][:0]
+		for _, c := range e.cfg.Classes {
+			var err error
+			if deployed, err = field.AppendUniform(deployed, c.Count, e.bounds, rng); err != nil {
+				return err
 			}
-			rng := st.at(e.cfg.RNG, e.cfg.Seed, int64(t)*stride+chUniform)
-			i := 0
-			for ci, c := range e.cfg.Classes {
-				pts, err := field.UniformInto(pos[i:i:len(pos)], c.Count, e.bounds, rng)
-				if err != nil {
-					return err
-				}
-				copy(pos[i:], pts)
-				for range pts {
-					cls[i] = ci
-					i++
-				}
-			}
-			track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
-			reports := 0
-			for s := 0; s < e.total; s++ {
-				c := e.cfg.Classes[cls[s]]
-				rs2 := c.Rs * c.Rs
+		}
+		pos[w] = deployed
+		track := e.tracks[t*(p.M+1) : (t+1)*(p.M+1)]
+		reports, s := 0, 0
+		for _, c := range e.cfg.Classes {
+			rs2 := c.Rs * c.Rs
+			for _, at := range deployed[s : s+c.Count] {
 				for period := 1; period <= p.M; period++ {
 					seg := geom.Segment{A: track[period-1], B: track[period]}
-					if seg.Dist2(pos[s]) > rs2 {
-						continue
-					}
-					if rng.Float64() < c.Pd {
+					if seg.Dist2(at) <= rs2 && rng.Float64() < c.Pd {
 						reports++
 					}
 				}
 			}
-			if reports >= p.K {
-				detectedBy[w]++
-			}
+			s += c.Count
+		}
+		if reports >= p.K {
+			detectedBy[w]++
 		}
 		return nil
 	})

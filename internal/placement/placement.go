@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/falsealarm"
@@ -237,32 +236,6 @@ func PlaceCtx(ctx context.Context, cfg Config) (*Result, error) {
 	evalsTotal.Add(uint64(res.Evals))
 	lazyHitsTotal.Add(uint64(res.LazyHits))
 	return res, nil
-}
-
-// parallelStripe runs fn(w) on workers goroutines; fn is expected to
-// process the stripe i = w, w+workers, w+2*workers, ... of some index
-// space, writing only to its own rows, so the result is independent of
-// the worker count.
-func parallelStripe(workers int, fn func(w int) error) error {
-	if workers <= 1 {
-		return fn(0)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = fn(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // faModel builds the §6 false-alarm model for the placed fleet.

@@ -1,22 +1,18 @@
 package sim
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
-	"github.com/groupdetect/gbd/internal/sensing"
 )
 
 // The SoA batch engine: under the counter-based RNG scheme, plain trials
 // (no faults, no delivery, no false alarms, no exposure) run batchW at a
 // time per worker pass. Deployment coordinates land in contiguous
 // structure-of-arrays float64 slices filled by tight loops over concrete
-// Philox draws — no interface dispatch, no per-trial reseed — and the
-// per-period report counts live in one contiguous int slice, strided per
-// batch slot. Each trial still owns its counter stream (key = seed,
+// Philox draws — no interface dispatch, no per-trial reseed. Each trial still owns its counter stream (key = seed,
 // counter = trial), so batch results are bit-identical to running the
 // same trials one at a time through runTrial, which the determinism
 // tests assert at several worker counts.
@@ -31,11 +27,11 @@ const batchW = 16
 // iteration) reuse the arrays across Run calls.
 type batchScratch struct {
 	phil   [batchW]field.Philox
-	rands  [batchW]*rand.Rand // rand.New(&phil[j]), built once; sampleTrack needs *rand.Rand
+	rands  [batchW]*rand.Rand // rand.New(&phil[j]), built once; track sampling needs *rand.Rand
 	trials [batchW]int
 	u      []float64 // raw uniform draws for one trial's deployment
 	xs, ys []float64 // SoA deployment coordinates, slot-major [slot*n : (slot+1)*n]
-	counts []int     // per-period report counts, slot-major stride mission+1, 1-based
+	counts []int     // per-period report counts of the current trial, 1-based
 	idx    field.Index
 	buf    []int // spatial-query result buffer
 }
@@ -61,25 +57,19 @@ func floats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// runBatchWorker aggregates worker w's stripe of a batchable campaign
-// into p, batchW trials per pass. It is the batch-engine counterpart of
-// runWorker's trial loop and must consume each trial's stream in exactly
-// runTrial's draw order: 2N deployment draws, then the track draws, then
-// one Bernoulli draw per queried sensor per period (none when Pd >= 1 —
+// runBatch aggregates batch b of a batchable campaign — trials
+// [b*batchW, (b+1)*batchW) — into p. It is the batch-engine counterpart of
+// runTrial and must consume each trial's stream in exactly runTrial's
+// draw order: 2N deployment draws, then the track draws, then one
+// Bernoulli draw per queried sensor per period (none when Pd >= 1 —
 // sensing.Disk.Detects short-circuits before drawing, and every id
 // QuerySegment returns already passed the identical distance predicate
 // Covers would re-apply).
-func runBatchWorker(ctx context.Context, cfg Config, w, workers int, p *partial) {
+func runBatch(cfg Config, b int, p *partial) error {
 	prm := cfg.Params
 	bounds := geom.Square(prm.FieldSide)
-	disk, err := sensing.NewDisk(prm.Rs, prm.Pd)
-	if err != nil {
-		p.err = err
-		return
-	}
-	cell := indexCellSize(prm)
+	cell := field.CellSize(prm.Rs, prm.FieldSide)
 	mission := cfg.MissionPeriods
-	stride := mission + 1
 	n := prm.N
 	fw := bounds.MaxX - bounds.MinX
 	fh := bounds.MaxY - bounds.MinY
@@ -88,108 +78,66 @@ func runBatchWorker(ctx context.Context, cfg Config, w, workers int, p *partial)
 	batchGets.Inc()
 	defer batchPool.Put(bs)
 
-	done := ctx.Done()
-	for base := w; base < cfg.Trials; base += workers * batchW {
-		if done != nil {
-			select {
-			case <-done:
-				p.err = ctx.Err()
-				return
-			default:
-			}
-		}
-		// Gather this pass's slice of the worker's stripe.
-		m := 0
-		for j := 0; j < batchW; j++ {
-			t := base + j*workers
-			if t >= cfg.Trials {
-				break
-			}
-			bs.trials[m] = t
-			m++
-		}
-		trialsTotal.Add(uint64(m))
+	m := 0
+	for t := b * batchW; t < cfg.Trials && m < batchW; t++ {
+		bs.trials[m] = t
+		m++
+	}
+	trialsTotal.Add(uint64(m))
 
-		// Phase 1: deployments for all m trials into the SoA buffers.
-		// Draw order per trial matches field.UniformInto: X then Y per
-		// sensor.
-		xs := floats(bs.xs, m*n)
-		ys := floats(bs.ys, m*n)
-		u := floats(bs.u, 2*n)
-		bs.xs, bs.ys, bs.u = xs, ys, u
-		for j := 0; j < m; j++ {
-			ph := &bs.phil[j]
-			ph.Reset(cfg.Seed, int64(bs.trials[j]))
-			ph.Float64s(u)
-			xj := xs[j*n : (j+1)*n]
-			yj := ys[j*n : (j+1)*n]
-			for i := range xj {
-				xj[i] = bounds.MinX + u[2*i]*fw
-				yj[i] = bounds.MinY + u[2*i+1]*fh
-			}
-		}
-
-		// Phase 2: per trial — index, track, and the period loop over the
-		// strided count row.
-		counts := ints(bs.counts, m*stride)
-		bs.counts = counts
-		for j := 0; j < m; j++ {
-			if err := bs.idx.RebuildXY(xs[j*n:(j+1)*n], ys[j*n:(j+1)*n], bounds, cell); err != nil {
-				p.err = err
-				return
-			}
-			track, err := sampleTrack(cfg, bounds, bs.rands[j])
-			if err != nil {
-				p.err = err
-				return
-			}
-			ph := &bs.phil[j]
-			row := counts[j*stride : (j+1)*stride]
-			buf := bs.buf
-			reports, detectedAt := 0, 0
-			for period := 1; period <= mission; period++ {
-				seg := geom.Segment{A: track[period-1], B: track[period]}
-				buf = bs.idx.QuerySegment(seg, prm.Rs, buf[:0])
-				count := 0
-				if disk.Pd >= 1 {
-					count = len(buf)
-				} else {
-					for range buf {
-						if ph.Float64() < disk.Pd {
-							count++
-						}
-					}
-				}
-				reports += count
-				row[period] = count
-				// Sliding-window rule: sum of the last min(period, M)
-				// periods, same as runTrial.
-				if detectedAt == 0 {
-					winSum := 0
-					lo := period - prm.M + 1
-					if lo < 1 {
-						lo = 1
-					}
-					for q := lo; q <= period; q++ {
-						winSum += row[q]
-					}
-					if winSum >= prm.K {
-						detectedAt = period
-					}
-				}
-			}
-			bs.buf = buf
-			if detectedAt > 0 {
-				p.detections++
-				if err := p.latency.Add(detectedAt); err != nil {
-					p.err = err
-					return
-				}
-			}
-			if err := p.hist.Add(reports); err != nil {
-				p.err = err
-				return
-			}
+	// Phase 1: deployments for all m trials into the SoA buffers. Draw
+	// order per trial matches field.Uniform: X then Y per sensor.
+	xs := floats(bs.xs, m*n)
+	ys := floats(bs.ys, m*n)
+	u := floats(bs.u, 2*n)
+	bs.xs, bs.ys, bs.u = xs, ys, u
+	for j := 0; j < m; j++ {
+		ph := &bs.phil[j]
+		ph.Reset(cfg.Seed, int64(bs.trials[j]))
+		ph.Float64s(u)
+		xj := xs[j*n : (j+1)*n]
+		yj := ys[j*n : (j+1)*n]
+		for i := range xj {
+			xj[i] = bounds.MinX + u[2*i]*fw
+			yj[i] = bounds.MinY + u[2*i+1]*fh
 		}
 	}
+
+	// Phase 2: per trial — index, track, and the period loop. Every
+	// period overwrites its count, so the trials share one row.
+	row := ints(bs.counts, mission+1)
+	bs.counts = row
+	for j := 0; j < m; j++ {
+		if err := bs.idx.RebuildXY(xs[j*n:(j+1)*n], ys[j*n:(j+1)*n], bounds, cell); err != nil {
+			return err
+		}
+		track, err := cfg.sampleTrack(bounds, bs.rands[j])
+		if err != nil {
+			return err
+		}
+		ph := &bs.phil[j]
+		buf := bs.buf
+		reports := 0
+		for period := 1; period <= mission; period++ {
+			seg := geom.Segment{A: track[period-1], B: track[period]}
+			buf = bs.idx.QuerySegment(seg, prm.Rs, buf[:0])
+			count := 0
+			if prm.Pd >= 1 {
+				count = len(buf)
+			} else {
+				for range buf {
+					if ph.Float64() < prm.Pd {
+						count++
+					}
+				}
+			}
+			reports += count
+			row[period] = count
+		}
+		bs.buf = buf
+		if err := p.record(firstDetection(row, prm.M, prm.K), reports); err != nil {
+			return err
+		}
+	}
+	return nil
 }

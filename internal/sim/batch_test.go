@@ -32,7 +32,7 @@ func philoxConfigs() map[string]Config {
 }
 
 // runTrialsUnbatched aggregates a campaign the W=1 way — runTrial per
-// trial, same aggregation as runWorker — bypassing the batch dispatch.
+// trial, same aggregation as run — bypassing the batch dispatch.
 func runTrialsUnbatched(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	cfgd, err := cfg.withDefaults()
@@ -41,7 +41,7 @@ func runTrialsUnbatched(t *testing.T, cfg Config) *Result {
 	}
 	res := &Result{Trials: cfgd.Trials}
 	for trial := 0; trial < cfgd.Trials; trial++ {
-		tr, err := runTrial(cfgd, trial, false)
+		tr, err := runTrial(cfgd, cfgd.fleet(), trial, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestBatchMatchesDetailedTrials(t *testing.T) {
 }
 
 // TestPhiloxFaultyDeterministic covers the non-batch philox path: faulty
-// campaigns stay on runFaultyTrial but must be scheme-deterministic
+// campaigns stay on the scalar runTrial but must be scheme-deterministic
 // across worker counts too.
 func TestPhiloxFaultyDeterministic(t *testing.T) {
 	cfg := Config{

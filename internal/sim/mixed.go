@@ -1,113 +1,38 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/field"
-	"github.com/groupdetect/gbd/internal/geom"
-	"github.com/groupdetect/gbd/internal/sensing"
-	"github.com/groupdetect/gbd/internal/stats"
 )
 
 // RunMixed simulates a heterogeneous deployment: each sensor class is
 // deployed uniformly with its own range and detection probability, and
 // reports from all classes count toward the shared K-of-M rule. It
 // validates detect.MSApproachMixed. The base config's N, Rs and Pd are
-// ignored in favor of the classes.
+// ignored in favor of the classes; options beyond the plain trial
+// (faults, delivery, beacons, inference, false alarms, exposure) are
+// rejected with ErrConfig.
 func RunMixed(cfg Config, classes []detect.SensorClass) (*Result, error) {
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("no sensor classes: %w", ErrConfig)
 	}
-	// Validate the base scenario with the first class patched in, then each
-	// class on its own.
-	probe := cfg
-	maxRs := 0.0
 	for i, c := range classes {
 		p := cfg.Params
 		p.N, p.Rs, p.Pd = c.Count, c.Rs, c.Pd
 		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("class %d: %w", i, err)
 		}
-		if c.Rs > maxRs {
-			maxRs = c.Rs
-		}
 	}
-	probe.Params.N = classes[0].Count
-	probe.Params.Rs = classes[0].Rs
-	probe.Params.Pd = classes[0].Pd
-	cfgd, err := probe.withDefaults()
+	// Validate the base scenario with the first class patched in.
+	cfg.Params.N, cfg.Params.Rs, cfg.Params.Pd = classes[0].Count, classes[0].Rs, classes[0].Pd
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
-	p := cfg.Params
-	bounds := geom.Square(p.FieldSide)
-	res := &Result{Trials: cfgd.Trials}
-	buf := make([]int, 0, 16)
-	for trial := 0; trial < cfgd.Trials; trial++ {
-		rng := trialRand(cfgd.RNG, cfgd.Seed, int64(trial))
-		type deployed struct {
-			idx  *field.Index
-			pts  []geom.Point
-			disk sensing.Disk
-		}
-		fleet := make([]deployed, len(classes))
-		for i, c := range classes {
-			pts, err := field.Uniform(c.Count, bounds, rng)
-			if err != nil {
-				return nil, err
-			}
-			cell := c.Rs
-			if minCell := p.FieldSide / 256; cell < minCell {
-				cell = minCell
-			}
-			idx, err := field.NewIndex(pts, bounds, cell)
-			if err != nil {
-				return nil, err
-			}
-			disk, err := sensing.NewDisk(c.Rs, c.Pd)
-			if err != nil {
-				return nil, err
-			}
-			fleet[i] = deployed{idx: idx, pts: pts, disk: disk}
-		}
-		track, err := sampleTrack(cfgd, bounds, rng)
-		if err != nil {
-			return nil, err
-		}
-		reports := 0
-		detectedAt := 0
-		for period := 1; period <= p.M; period++ {
-			seg := geom.Segment{A: track[period-1], B: track[period]}
-			for _, d := range fleet {
-				buf = d.idx.QuerySegment(seg, d.disk.Rs, buf[:0])
-				for _, id := range buf {
-					if d.disk.Detects(d.pts[id], seg, rng) {
-						reports++
-					}
-				}
-			}
-			if detectedAt == 0 && reports >= p.K {
-				detectedAt = period
-			}
-		}
-		if reports >= p.K {
-			res.Detections++
-			if err := res.Latency.Add(detectedAt); err != nil {
-				return nil, err
-			}
-		}
-		if err := res.Reports.Add(reports); err != nil {
-			return nil, err
-		}
+	if o := cfg.extraOption(); o != "" {
+		return nil, fmt.Errorf("mixed fleets do not model %s: %w", o, ErrConfig)
 	}
-	res.DetectionProb = float64(res.Detections) / float64(res.Trials)
-	res.MeanReports = res.Reports.Mean()
-	ci, err := stats.WilsonInterval(res.Detections, res.Trials, 1.96)
-	if err != nil {
-		return nil, err
-	}
-	res.CI = ci
-	return res, nil
+	return run(context.Background(), cfg, classes)
 }

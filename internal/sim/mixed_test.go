@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/detect"
+	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
+	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/sensing"
 )
 
@@ -21,6 +24,41 @@ func TestRunMixedValidation(t *testing.T) {
 	bad.Trials = 0
 	if _, err := RunMixed(bad, []detect.SensorClass{{Count: 10, Rs: 1000, Pd: 0.9}}); err == nil {
 		t.Error("bad config should fail")
+	}
+}
+
+// TestMixedAndMultiRejectUnmodeledOptions: mixed-fleet and multi-target
+// campaigns simulate the plain trial only, so every option that would
+// change a plain trial's answer must fail with ErrConfig instead of being
+// silently dropped.
+func TestMixedAndMultiRejectUnmodeledOptions(t *testing.T) {
+	classes := []detect.SensorClass{{Count: 80, Rs: 1000, Pd: 0.9}, {Count: 20, Rs: 2000, Pd: 0.8}}
+	cases := []struct {
+		name      string
+		mut       func(*Config)
+		multiOnly bool
+	}{
+		{"Faults", func(c *Config) { c.Faults = faults.Bernoulli{DeadFrac: 0.1} }, false},
+		{"CommRange", func(c *Config) { c.CommRange = 6000 }, false},
+		{"PDeliver", func(c *Config) { c.PDeliver = 0.9 }, false},
+		{"Beacons", func(c *Config) { c.Beacons = true }, false},
+		{"Infer", func(c *Config) { c.Infer = &infer.Options{} }, false},
+		{"FalseAlarmP", func(c *Config) { c.FalseAlarmP = 0.001 }, false},
+		{"ExposureLambda", func(c *Config) { c.ExposureLambda = 0.01 }, false},
+		{"MissionPeriods", func(c *Config) { c.MissionPeriods = c.Params.M + 5 }, true},
+	}
+	for _, tc := range cases {
+		cfg := baseConfig()
+		cfg.Trials = 4
+		tc.mut(&cfg)
+		if !tc.multiOnly {
+			if _, err := RunMixed(cfg, classes); !errors.Is(err, ErrConfig) {
+				t.Errorf("RunMixed with %s: err = %v, want ErrConfig", tc.name, err)
+			}
+		}
+		if _, err := RunMulti(cfg, 2, 0); !errors.Is(err, ErrConfig) {
+			t.Errorf("RunMulti with %s: err = %v, want ErrConfig", tc.name, err)
+		}
 	}
 }
 

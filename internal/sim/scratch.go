@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 )
 
 // trialScratch is the per-worker arena of the trial hot path: everything a
 // trial needs that would otherwise be reallocated per trial — the RNG, the
-// deployment, the spatial index, the period counters, and the query
+// deployment, the spatial indexes, the period counters, and the query
 // buffer. Workers check one out per trial from scratchPool, so the storage
 // survives across trials (and across Run calls, which benchmark loops
 // rely on) without any cross-worker sharing.
@@ -18,21 +19,17 @@ import (
 // Nothing in a scratch may escape into results: detailed trials copy the
 // deployment out before the scratch returns to the pool.
 type trialScratch struct {
-	rng       *rand.Rand
-	philox    field.Philox
-	prand     *rand.Rand // rand.New(&philox), built once per scratch
+	stream    *field.Stream
 	sensors   []geom.Point
-	idx       field.Index
-	perPeriod []int // plain path's window counts / faulty path's arrivals
-	buf       []int // spatial-query result buffer
+	idx       []field.Index // one per sensor class
+	perPeriod []int         // per-period report arrivals, 1-based
+	buf       []int         // spatial-query result buffer
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
 		scratchNews.Inc()
-		s := &trialScratch{rng: field.NewRand(0), buf: make([]int, 0, 16)}
-		s.prand = rand.New(&s.philox)
-		return s
+		return &trialScratch{stream: field.NewStream(), buf: make([]int, 0, 16)}
 	},
 }
 
@@ -43,28 +40,24 @@ func getScratch() *trialScratch {
 	return scratchPool.Get().(*trialScratch)
 }
 
-// seed points the scratch RNG at one trial's stream under the campaign's
-// scheme. Legacy reseeds the pooled lagged-Fibonacci generator (yielding
-// the same draws as field.NewRand(field.DeriveSeed(base, trial)) without
-// reheaping the generator state); Philox just resets the counter words —
-// the O(1) stream setup the counter-based scheme exists for.
-func (s *trialScratch) seed(scheme field.RNGScheme, base, trial int64) *rand.Rand {
-	if scheme == field.SchemePhilox {
-		s.philox.Reset(base, trial)
-		return s.prand
+// deploy draws the fleet class by class into s.sensors, class c's ids
+// following class c-1's, and indexes each class on its own grid.
+func (s *trialScratch) deploy(fleet []detect.SensorClass, bounds geom.Rect, rng *rand.Rand) error {
+	if len(s.idx) < len(fleet) {
+		s.idx = make([]field.Index, len(fleet))
 	}
-	s.rng.Seed(field.DeriveSeed(base, trial))
-	return s.rng
-}
-
-// trialRand allocates a fresh per-trial generator under the campaign's
-// scheme, for the campaign loops (mixed, multi) that do not run on pooled
-// scratch.
-func trialRand(scheme field.RNGScheme, base, trial int64) *rand.Rand {
-	if scheme == field.SchemePhilox {
-		return rand.New(field.NewPhilox(base, trial))
+	s.sensors = s.sensors[:0]
+	for c, cl := range fleet {
+		off := len(s.sensors)
+		var err error
+		if s.sensors, err = field.AppendUniform(s.sensors, cl.Count, bounds, rng); err != nil {
+			return err
+		}
+		if err := s.idx[c].Rebuild(s.sensors[off:], bounds, field.CellSize(cl.Rs, bounds.MaxX-bounds.MinX)); err != nil {
+			return err
+		}
 	}
-	return field.NewRand(field.DeriveSeed(base, trial))
+	return nil
 }
 
 // ints returns s resized to n and zeroed, reusing the backing array when it

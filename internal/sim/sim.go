@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/groupdetect/gbd/internal/detect"
@@ -24,8 +23,8 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
-	"github.com/groupdetect/gbd/internal/sensing"
 	"github.com/groupdetect/gbd/internal/stats"
+	"github.com/groupdetect/gbd/internal/sweep"
 	"github.com/groupdetect/gbd/internal/target"
 )
 
@@ -33,7 +32,7 @@ import (
 var ErrConfig = errors.New("sim: invalid configuration")
 
 // ErrConfinement reports failure to sample a confined track.
-var ErrConfinement = errors.New("sim: could not sample a track inside the field")
+var ErrConfinement = target.ErrConfinement
 
 // Confinement selects how target tracks interact with the field border.
 type Confinement int
@@ -49,10 +48,6 @@ const (
 	// Periods spent outside simply find no sensors.
 	ConfineNone
 )
-
-// maxConfineAttempts bounds rejection sampling; with track lengths well
-// below the field side the acceptance rate is high and this is generous.
-const maxConfineAttempts = 10000
 
 // Config describes a simulation campaign.
 type Config struct {
@@ -217,13 +212,47 @@ func (c Config) faulty() bool {
 		(c.PDeliver > 0 && c.PDeliver < 1)
 }
 
+// extraOption names the first option set beyond the paper's plain trial
+// (faults, a delivery model, beacons, inference, false alarms, dwell-time
+// sensing), or returns "" for a plain campaign: the only shape the batch
+// engine, mixed fleets and multi-target campaigns model.
+func (c Config) extraOption() string {
+	switch {
+	case c.Faults != nil:
+		return "Faults"
+	case c.CommRange > 0:
+		return "CommRange"
+	case c.PDeliver > 0 && c.PDeliver < 1:
+		return "PDeliver"
+	case c.Beacons:
+		return "Beacons"
+	case c.Infer != nil:
+		return "Infer"
+	case c.FalseAlarmP > 0:
+		return "FalseAlarmP"
+	case c.ExposureLambda > 0:
+		return "ExposureLambda"
+	}
+	return ""
+}
+
 // batchable reports whether aggregate trials can run on the SoA batch
 // engine: the counter-based scheme (per-trial stream reset must be O(1)
-// and heap-free for W parallel streams) and the plain trial shape —
-// faults, delivery, false alarms, and exposure keep the W=1 path.
+// and heap-free for W parallel streams) and the plain trial. Everything
+// else, and every mixed fleet, runs the scalar kernel one trial at a time.
 func (c Config) batchable() bool {
-	return c.RNG == field.SchemePhilox && !c.faulty() &&
-		c.FalseAlarmP == 0 && c.ExposureLambda == 0
+	return c.RNG == field.SchemePhilox && c.extraOption() == ""
+}
+
+// fleet is the campaign's single sensor class, taken from Params.
+func (c Config) fleet() []detect.SensorClass {
+	return []detect.SensorClass{{Count: c.Params.N, Rs: c.Params.Rs, Pd: c.Params.Pd}}
+}
+
+// sampleTrack draws one trial's track under the campaign's motion model,
+// mission length and confinement policy.
+func (c Config) sampleTrack(bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
+	return target.Sample(c.Model, c.MissionPeriods, bounds, c.Confine == ConfineRejection, rng)
 }
 
 // Result summarizes a simulation campaign.
@@ -398,56 +427,18 @@ type partial struct {
 	latency    stats.Histogram
 	faults     FaultStats
 	infer      InferStats
-	err        error
 }
 
-// cancelCheckMask amortizes cancellation checks to one poll every 32
-// trials: a trial is microseconds of pure CPU, so per-trial channel reads
-// would dominate the hot loop while a 32-trial stop lag is invisible.
-const cancelCheckMask = 31
-
-// runWorker aggregates the trials of worker w's stripe into p, polling ctx
-// between trials. A Background context (nil Done channel) costs one nil
-// check per trial, keeping the uncancellable benchmark path unchanged.
-func runWorker(ctx context.Context, cfg Config, w, workers int, p *partial) {
-	if cfg.batchable() {
-		runBatchWorker(ctx, cfg, w, workers, p)
-		return
-	}
-	done := ctx.Done()
-	polls := 0
-	for trial := w; trial < cfg.Trials; trial += workers {
-		if done != nil {
-			if polls++; polls&cancelCheckMask == 0 {
-				select {
-				case <-done:
-					p.err = ctx.Err()
-					return
-				default:
-				}
-			}
-		}
-		tr, err := runTrial(cfg, trial, false)
-		if err != nil {
-			p.err = err
-			return
-		}
-		if tr.Detected {
-			p.detections++
-			if err := p.latency.Add(tr.DetectedAt); err != nil {
-				p.err = err
-				return
-			}
-		}
-		if err := p.hist.Add(tr.Reports); err != nil {
-			p.err = err
-			return
-		}
-		p.faults.merge(tr.Faults)
-		if tr.Infer != nil {
-			p.infer.merge(*tr.Infer)
+// record tallies one trial's decision period (0 when undetected) and
+// report count.
+func (p *partial) record(detectedAt, reports int) error {
+	if detectedAt > 0 {
+		p.detections++
+		if err := p.latency.Add(detectedAt); err != nil {
+			return err
 		}
 	}
+	return p.hist.Add(reports)
 }
 
 // Run executes the campaign and aggregates the results.
@@ -464,28 +455,38 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
+	return run(ctx, cfg, cfg.fleet())
+}
+
+// run executes a defaulted campaign over fleet, striping trials (or, on
+// the batch engine, batches of trials) across workers. Every trial owns
+// its stream and the aggregation is a sum of integer counts, so the
+// result is the same at any worker count.
+func run(ctx context.Context, cfg Config, fleet []detect.SensorClass) (*Result, error) {
+	workers := min(cfg.Workers, cfg.Trials)
 	parts := make([]partial, workers)
-	if workers == 1 {
-		// Run the single stripe inline: no goroutine hand-off per call in
-		// the common benchmark and sweep-under-sweep shapes.
-		runWorker(ctx, cfg, 0, 1, &parts[0])
+	var err error
+	if len(fleet) == 1 && cfg.batchable() {
+		batches := (cfg.Trials + batchW - 1) / batchW
+		workers = min(workers, batches)
+		err = sweep.Stripe(ctx, workers, batches, func(w, b int) error {
+			return runBatch(cfg, b, &parts[w])
+		})
 	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				runWorker(ctx, cfg, w, workers, &parts[w])
-			}(w)
-		}
-		wg.Wait()
+		err = sweep.Stripe(ctx, workers, cfg.Trials, func(w, trial int) error {
+			tr, err := runTrial(cfg, fleet, trial, false)
+			if err != nil {
+				return err
+			}
+			parts[w].faults.merge(tr.Faults)
+			if tr.Infer != nil {
+				parts[w].infer.merge(*tr.Infer)
+			}
+			return parts[w].record(tr.DetectedAt, tr.Reports)
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Trials: cfg.Trials}
@@ -493,9 +494,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		res.Infer = &InferStats{}
 	}
 	for i := range parts {
-		if parts[i].err != nil {
-			return nil, parts[i].err
-		}
 		res.Detections += parts[i].detections
 		res.Reports.Merge(&parts[i].hist)
 		res.Latency.Merge(&parts[i].latency)
@@ -525,160 +523,22 @@ func RunTrial(cfg Config, trial int) (*TrialResult, error) {
 	if trial < 0 {
 		return nil, fmt.Errorf("trial = %d must be >= 0: %w", trial, ErrConfig)
 	}
-	return runTrial(cfg, trial, true)
+	return runTrial(cfg, cfg.fleet(), trial, true)
 }
 
-func runTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) {
-	trialsTotal.Inc()
-	if trialTick.Add(1)&trialSampleMask == 0 {
-		start := time.Now()
-		defer func() { trialSeconds.Observe(time.Since(start).Seconds()) }()
-	}
-	if cfg.faulty() {
-		return runFaultyTrial(cfg, trial, detailed)
-	}
-	p := cfg.Params
-	scratch := getScratch()
-	defer scratchPool.Put(scratch)
-	rng := scratch.seed(cfg.RNG, cfg.Seed, int64(trial))
-	bounds := geom.Square(p.FieldSide)
-
-	sensors, err := field.UniformInto(scratch.sensors, p.N, bounds, rng)
-	if err != nil {
-		return nil, err
-	}
-	scratch.sensors = sensors
-	if err := scratch.idx.Rebuild(sensors, bounds, indexCellSize(p)); err != nil {
-		return nil, err
-	}
-	idx := &scratch.idx
-	disk, err := sensing.NewDisk(p.Rs, p.Pd)
-	if err != nil {
-		return nil, err
-	}
-	var exposure sensing.Exposure
-	if cfg.ExposureLambda > 0 {
-		exposure, err = sensing.NewExposure(p.Rs, cfg.ExposureLambda)
-		if err != nil {
-			return nil, err
+// firstDetection applies the K-of-M rule to 1-based per-period report
+// counts: it returns the first period whose window of the last
+// min(period, m) periods holds at least k reports, or 0 if none does.
+func firstDetection(counts []int, m, k int) int {
+	sum := 0
+	for period := 1; period < len(counts); period++ {
+		sum += counts[period]
+		if period > m {
+			sum -= counts[period-m]
+		}
+		if sum >= k {
+			return period
 		}
 	}
-	fa, err := sensing.NewFalseAlarm(cfg.FalseAlarmP)
-	if err != nil {
-		return nil, err
-	}
-
-	track, err := sampleTrack(cfg, bounds, rng)
-	if err != nil {
-		return nil, err
-	}
-
-	mission := cfg.MissionPeriods
-	tr := &TrialResult{}
-	var reported map[int]bool
-	if detailed {
-		tr.Track = track
-		tr.Sensors = append([]geom.Point(nil), sensors...) // sensors is pooled scratch
-		tr.PerPeriod = make([]int, mission)
-		reported = make(map[int]bool)
-	}
-	perPeriod := ints(scratch.perPeriod, mission+1) // 1-based
-	scratch.perPeriod = perPeriod
-	buf := scratch.buf
-	for period := 1; period <= mission; period++ {
-		seg := geom.Segment{A: track[period-1], B: track[period]}
-		count := 0
-		segSpeed := seg.Length() / p.T.Seconds()
-		buf = idx.QuerySegment(seg, p.Rs, buf[:0])
-		for _, id := range buf {
-			detected := false
-			if cfg.ExposureLambda > 0 {
-				detected = exposure.Detects(sensors[id], seg, segSpeed, rng)
-			} else {
-				detected = disk.Detects(sensors[id], seg, rng)
-			}
-			if detected {
-				count++
-				if detailed {
-					reported[id] = true
-				}
-			}
-		}
-		if fa.P > 0 {
-			for s := 0; s < p.N; s++ {
-				if fa.Fires(rng) {
-					count++
-					if detailed {
-						reported[s] = true
-					}
-				}
-			}
-		}
-		tr.Reports += count
-		perPeriod[period] = count
-		if detailed {
-			tr.PerPeriod[period-1] = count
-		}
-		// Sliding-window rule: sum of the last min(period, M) periods.
-		if tr.DetectedAt == 0 {
-			winSum := 0
-			lo := period - p.M + 1
-			if lo < 1 {
-				lo = 1
-			}
-			for q := lo; q <= period; q++ {
-				winSum += perPeriod[q]
-			}
-			if winSum >= p.K {
-				tr.DetectedAt = period
-			}
-		}
-	}
-	scratch.buf = buf
-	tr.Detected = tr.DetectedAt > 0
-	if detailed {
-		tr.Reporters = make([]int, 0, len(reported))
-		for id := range reported {
-			tr.Reporters = append(tr.Reporters, id)
-		}
-	}
-	return tr, nil
-}
-
-// indexCellSize picks a grid cell on the order of the sensing range, bounded
-// so tiny ranges in huge fields do not explode the cell count.
-func indexCellSize(p detect.Params) float64 {
-	cell := p.Rs
-	if minCell := p.FieldSide / 256; cell < minCell {
-		cell = minCell
-	}
-	return cell
-}
-
-// sampleTrack draws an entry point and heading and generates a track
-// according to the confinement policy.
-func sampleTrack(cfg Config, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	periods := cfg.MissionPeriods
-	if periods == 0 {
-		periods = cfg.Params.M
-	}
-	attempts := 1
-	if cfg.Confine == ConfineRejection {
-		attempts = maxConfineAttempts
-	}
-	for a := 0; a < attempts; a++ {
-		start := geom.Point{
-			X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
-			Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
-		}
-		theta := rng.Float64() * 2 * math.Pi
-		track, err := cfg.Model.Track(start, theta, periods, rng)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Confine == ConfineNone || target.InBounds(track, bounds) {
-			return track, nil
-		}
-	}
-	return nil, fmt.Errorf("%d attempts: %w", maxConfineAttempts, ErrConfinement)
+	return 0
 }

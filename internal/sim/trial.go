@@ -3,48 +3,49 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
+	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/faults"
-	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/sensing"
 )
 
-// runFaultyTrial is the fault-injection variant of runTrial: sensors can be
-// dead (no sensing, no relaying) and reports can be lost or delayed in the
-// multi-hop network. It degenerates to exactly the plain trial when Faults
-// is nil and CommRange is 0 (and runTrial dispatches the plain path then).
+// runTrial is the simulator's one scalar trial: deploy the fleet, index
+// it, draw the track, then per period sense, deliver and decide. Every
+// option rides the same per-period report stream: sensors can be dead (no
+// sensing, no relaying), reports can be lost or delayed by a delivery
+// model, beacons and the failure inferencer watch the uplink, and false
+// alarms and dwell-time sensing change what is generated. With none of
+// them set it is the paper's plain trial, and Faults stays zero.
 //
-// The trial keeps the plain path's determinism contract: all randomness
-// flows through the one per-trial rng, in a fixed order (deployment, fault
-// masks, track, then per-period sensing and delivery), so results are
-// independent of worker scheduling.
-func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) {
+// fleet lists the deployed sensor classes; sensor ids run class by class.
+// All randomness flows through the one per-trial rng in a fixed order
+// (deployment class by class, fault masks, track, then per-period sensing
+// class by class and delivery), so results are independent of worker
+// scheduling.
+func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) (*TrialResult, error) {
+	trialsTotal.Inc()
+	if trialTick.Add(1)&trialSampleMask == 0 {
+		start := time.Now()
+		defer func() { trialSeconds.Observe(time.Since(start).Seconds()) }()
+	}
 	p := cfg.Params
 	scratch := getScratch()
 	defer scratchPool.Put(scratch)
-	rng := scratch.seed(cfg.RNG, cfg.Seed, int64(trial))
+	rng := scratch.stream.At(cfg.RNG, cfg.Seed, int64(trial))
 	bounds := geom.Square(p.FieldSide)
-
-	sensors, err := field.UniformInto(scratch.sensors, p.N, bounds, rng)
-	if err != nil {
+	if err := scratch.deploy(fleet, bounds, rng); err != nil {
 		return nil, err
 	}
-	scratch.sensors = sensors
-	if err := scratch.idx.Rebuild(sensors, bounds, indexCellSize(p)); err != nil {
-		return nil, err
-	}
-	idx := &scratch.idx
-	disk, err := sensing.NewDisk(p.Rs, p.Pd)
-	if err != nil {
-		return nil, err
-	}
+	sensors := scratch.sensors
+	n := len(sensors)
 	var exposure sensing.Exposure
 	if cfg.ExposureLambda > 0 {
-		exposure, err = sensing.NewExposure(p.Rs, cfg.ExposureLambda)
-		if err != nil {
+		var err error
+		if exposure, err = sensing.NewExposure(p.Rs, cfg.ExposureLambda); err != nil {
 			return nil, err
 		}
 	}
@@ -67,8 +68,8 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 			return nil, fmt.Errorf("fault model returned %d masks for %d periods: %w", len(masks), mission, ErrConfig)
 		}
 		for t, m := range masks {
-			if len(m) != p.N {
-				return nil, fmt.Errorf("fault mask %d covers %d of %d nodes: %w", t+1, len(m), p.N, ErrConfig)
+			if len(m) != n {
+				return nil, fmt.Errorf("fault mask %d covers %d of %d nodes: %w", t+1, len(m), n, ErrConfig)
 			}
 		}
 	}
@@ -78,7 +79,7 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 	// unit-disk network over the survivors of each period. The flat
 	// single-hop uplink (PDeliver) is the alternative substrate; the two
 	// are mutually exclusive (withDefaults enforces it).
-	withDelivery := cfg.CommRange > 0 && p.N > 0
+	withDelivery := cfg.CommRange > 0 && n > 0
 	uplink := cfg.PDeliver > 0 && cfg.PDeliver < 1
 	var relay *relayState
 	if withDelivery {
@@ -95,21 +96,21 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 	var arrivedNow, allAlive []bool
 	var inferStats *InferStats
 	if cfg.Infer != nil {
-		eng, err = infer.New(p.N, *cfg.Infer)
+		eng, err = infer.New(n, *cfg.Infer)
 		if err != nil {
 			return nil, err
 		}
-		arrivedNow = make([]bool, p.N)
+		arrivedNow = make([]bool, n)
 		inferStats = &InferStats{}
 		if cfg.Faults == nil {
-			allAlive = make([]bool, p.N)
+			allAlive = make([]bool, n)
 			for i := range allAlive {
 				allAlive[i] = true
 			}
 		}
 	}
 
-	track, err := sampleTrack(cfg, bounds, rng)
+	track, err := cfg.sampleTrack(bounds, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -242,25 +243,31 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 		}
 		seg := geom.Segment{A: track[period-1], B: track[period]}
 		segSpeed := seg.Length() / p.T.Seconds()
-		buf = idx.QuerySegment(seg, p.Rs, buf[:0])
-		for _, id := range buf {
-			if mask != nil && !mask[id] {
-				continue // dead sensors do not sense
-			}
-			detected := false
-			if cfg.ExposureLambda > 0 {
-				detected = exposure.Detects(sensors[id], seg, segSpeed, rng)
-			} else {
-				detected = disk.Detects(sensors[id], seg, rng)
-			}
-			if detected {
-				if err := deliver(id, period, mask); err != nil {
-					return nil, err
+		off := 0
+		for c, cl := range fleet {
+			disk := sensing.Disk{Rs: cl.Rs, Pd: cl.Pd}
+			buf = scratch.idx[c].QuerySegment(seg, cl.Rs, buf[:0])
+			for _, id := range buf {
+				id += off
+				if mask != nil && !mask[id] {
+					continue // dead sensors do not sense
+				}
+				detected := false
+				if cfg.ExposureLambda > 0 {
+					detected = exposure.Detects(sensors[id], seg, segSpeed, rng)
+				} else {
+					detected = disk.Detects(sensors[id], seg, rng)
+				}
+				if detected {
+					if err := deliver(id, period, mask); err != nil {
+						return nil, err
+					}
 				}
 			}
+			off += cl.Count
 		}
 		if fa.P > 0 {
-			for s := 0; s < p.N; s++ {
+			for s := 0; s < n; s++ {
 				if mask != nil && !mask[s] {
 					continue // dead sensors do not false-alarm either
 				}
@@ -272,7 +279,7 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 			}
 		}
 		if cfg.Beacons {
-			for s := 0; s < p.N; s++ {
+			for s := 0; s < n; s++ {
 				if mask != nil && !mask[s] {
 					continue // dead sensors beacon least of all
 				}
@@ -296,7 +303,7 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 				return nil, err
 			}
 			inferStats.PerPeriod.Add(c)
-			inferStats.Periods += p.N
+			inferStats.Periods += n
 		}
 	}
 	scratch.buf = buf
@@ -315,11 +322,11 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 			return nil, err
 		}
 		inferStats.Final = c
-		inferStats.Sensors = p.N
+		inferStats.Sensors = n
 		inferStats.Declarations = eng.Declarations()
 		inferStats.Retractions = eng.Retractions()
 		inferStats.InferredDead = eng.DeadCount()
-		for i := 0; i < p.N; i++ {
+		for i := 0; i < n; i++ {
 			if final[i] {
 				continue
 			}
@@ -344,22 +351,13 @@ func runFaultyTrial(cfg Config, trial int, detailed bool) (*TrialResult, error) 
 	// arrived, period by period.
 	for period := 1; period <= mission; period++ {
 		tr.Reports += arrivals[period]
-		if detailed {
-			tr.PerPeriod[period-1] = arrivals[period]
-		}
-		if tr.DetectedAt == 0 {
-			winSum := 0
-			lo := period - p.M + 1
-			if lo < 1 {
-				lo = 1
-			}
-			for q := lo; q <= period; q++ {
-				winSum += arrivals[q]
-			}
-			if winSum >= p.K {
-				tr.DetectedAt = period
-			}
-		}
+	}
+	if detailed {
+		copy(tr.PerPeriod, arrivals[1:])
+	}
+	tr.DetectedAt = firstDetection(arrivals, p.M, p.K)
+	if !cfg.faulty() {
+		tr.Faults = FaultStats{} // the plain trial reports no fault accounting
 	}
 	tr.Detected = tr.DetectedAt > 0
 	if detailed {
@@ -392,17 +390,7 @@ func newRelayState(sensors []geom.Point, commRange float64, bounds geom.Rect) (*
 	if err != nil {
 		return nil, err
 	}
-	center := geom.Point{
-		X: (bounds.MinX + bounds.MaxX) / 2,
-		Y: (bounds.MinY + bounds.MaxY) / 2,
-	}
-	base := 0
-	for i, s := range sensors {
-		if s.Dist(center) < sensors[base].Dist(center) {
-			base = i
-		}
-	}
-	return &relayState{full: full, base: base}, nil
+	return &relayState{full: full, base: netsim.CenterNode(sensors, bounds)}, nil
 }
 
 // send forwards a report from sensor id to the base over the network

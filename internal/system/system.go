@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/groupdetect/gbd/internal/detect"
@@ -24,15 +23,13 @@ import (
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/sensing"
 	"github.com/groupdetect/gbd/internal/stats"
+	"github.com/groupdetect/gbd/internal/sweep"
 	"github.com/groupdetect/gbd/internal/target"
 	"github.com/groupdetect/gbd/internal/track"
 )
 
 // ErrConfig reports an invalid system configuration.
 var ErrConfig = errors.New("system: invalid configuration")
-
-// ErrNoTrack reports failure to place a confined track.
-var ErrNoTrack = errors.New("system: could not sample a track inside the field")
 
 // Config describes the full deployed system.
 type Config struct {
@@ -95,10 +92,6 @@ type Result struct {
 	DecisionLatency stats.Histogram
 }
 
-// cancelCheckMask amortizes cancellation polling to one check every 32
-// trials, mirroring the sim package's hot-loop policy.
-const cancelCheckMask = 31
-
 // Run simulates the full pipeline.
 func Run(cfg Config) (*Result, error) {
 	return RunCtx(context.Background(), cfg)
@@ -109,9 +102,6 @@ func Run(cfg Config) (*Result, error) {
 // bit-identical to Run (the context never touches trial mechanics).
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	p := cfg.Params
@@ -132,67 +122,43 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	center := geom.Point{X: p.FieldSide / 2, Y: p.FieldSide / 2}
-
-	res := &Result{Trials: cfg.Trials}
-	var generated, delivered, delaySum int
-
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
+	workers = min(workers, cfg.Trials)
 	type partial struct {
+		stream                       *field.Stream
 		detections                   int
 		generated, delivered, delays int
 		latency                      stats.Histogram
-		err                          error
 	}
 	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			part := &parts[w]
-			done := ctx.Done()
-			polls := 0
-			for trial := w; trial < cfg.Trials; trial += workers {
-				if done != nil {
-					if polls++; polls&cancelCheckMask == 0 {
-						select {
-						case <-done:
-							part.err = ctx.Err()
-							return
-						default:
-						}
-					}
-				}
-				decided, gen, del, delay, err := runTrial(cfg, p, model, disk, fa, gate, center, bounds, trial)
-				if err != nil {
-					part.err = err
-					return
-				}
-				part.generated += gen
-				part.delivered += del
-				part.delays += delay
-				if decided > 0 {
-					part.detections++
-					if err := part.latency.Add(decided); err != nil {
-						part.err = err
-						return
-					}
-				}
-			}
-		}(w)
+	for w := range parts {
+		parts[w].stream = field.NewStream()
 	}
-	wg.Wait()
-	for i := range parts {
-		if parts[i].err != nil {
-			return nil, parts[i].err
+	err = sweep.Stripe(ctx, workers, cfg.Trials, func(w, trial int) error {
+		part := &parts[w]
+		rng := part.stream.At(field.SchemeLegacy, cfg.Seed, int64(trial))
+		decided, gen, del, delay, err := runTrial(cfg, p, model, disk, fa, gate, bounds, rng)
+		if err != nil {
+			return err
 		}
+		part.generated += gen
+		part.delivered += del
+		part.delays += delay
+		if decided > 0 {
+			part.detections++
+			return part.latency.Add(decided)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Trials: cfg.Trials}
+	var generated, delivered, delaySum int
+	for i := range parts {
 		res.Detections += parts[i].detections
 		generated += parts[i].generated
 		delivered += parts[i].delivered
@@ -215,17 +181,16 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runTrial executes one end-to-end trial and returns the decision period
-// (0 if undetected) plus report accounting.
+// runTrial executes one end-to-end trial on rng and returns the decision
+// period (0 if undetected) plus report accounting.
 func runTrial(cfg Config, p detect.Params, model target.Model, disk sensing.Disk,
-	fa sensing.FalseAlarm, gate track.Gate, center geom.Point, bounds geom.Rect,
-	trial int) (decided, generated, delivered, delaySum int, err error) {
-	rng := field.NewRand(field.DeriveSeed(cfg.Seed, int64(trial)))
+	fa sensing.FalseAlarm, gate track.Gate, bounds geom.Rect,
+	rng *rand.Rand) (decided, generated, delivered, delaySum int, err error) {
 	sensors, err := field.Uniform(p.N, bounds, rng)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	idx, err := field.NewIndex(sensors, bounds, indexCell(p))
+	idx, err := field.NewIndex(sensors, bounds, field.CellSize(p.Rs, p.FieldSide))
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -233,18 +198,12 @@ func runTrial(cfg Config, p detect.Params, model target.Model, disk sensing.Disk
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	base := 0
-	for i, s := range sensors {
-		if s.Dist(center) < sensors[base].Dist(center) {
-			base = i
-		}
-	}
-	hops, err := net.HopsFrom(base)
+	hops, err := net.HopsFrom(netsim.CenterNode(sensors, bounds))
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 
-	tr, err := confinedTrack(model, p.M, bounds, rng)
+	tr, err := target.Sample(model, p.M, bounds, true, rng)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -308,33 +267,4 @@ func runTrial(cfg Config, p detect.Params, model target.Model, disk sensing.Disk
 		}
 	}
 	return decided, generated, delivered, delaySum, nil
-}
-
-// confinedTrack samples entry points and headings until the whole track
-// stays inside the field, matching the analysis assumption.
-func confinedTrack(model target.Model, m int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	const attempts = 10000
-	for a := 0; a < attempts; a++ {
-		start := geom.Point{
-			X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
-			Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
-		}
-		theta := rng.Float64() * 2 * math.Pi
-		tr, err := model.Track(start, theta, m, rng)
-		if err != nil {
-			return nil, err
-		}
-		if target.InBounds(tr, bounds) {
-			return tr, nil
-		}
-	}
-	return nil, ErrNoTrack
-}
-
-func indexCell(p detect.Params) float64 {
-	cell := p.Rs
-	if minCell := p.FieldSide / 256; cell < minCell {
-		cell = minCell
-	}
-	return cell
 }

@@ -18,6 +18,13 @@ import (
 // ErrModel reports an invalid motion model or track request.
 var ErrModel = errors.New("target: invalid motion model")
 
+// ErrConfinement reports failure to sample a track inside the field.
+var ErrConfinement = errors.New("target: could not sample a track inside the field")
+
+// maxConfineAttempts bounds rejection sampling; with track lengths well
+// below the field side the acceptance rate is high and this is generous.
+const maxConfineAttempts = 10000
+
 // Model generates target tracks.
 type Model interface {
 	// Track returns the periods+1 period-boundary positions of a track
@@ -197,4 +204,28 @@ func InBounds(track []geom.Point, bounds geom.Rect) bool {
 		}
 	}
 	return true
+}
+
+// Sample draws a track of the given number of periods from model: a
+// uniform entry point in bounds, a uniform heading, then the model's own
+// draws. With confine set it resamples until the whole track stays inside
+// bounds, as the analysis assumes the whole region around the track is
+// populated, and fails with ErrConfinement after 10000 attempts. Without
+// it the first track is kept even if it leaves the field.
+func Sample(model Model, periods int, bounds geom.Rect, confine bool, rng *rand.Rand) ([]geom.Point, error) {
+	for a := 0; a < maxConfineAttempts; a++ {
+		start := geom.Point{
+			X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
+			Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
+		}
+		theta := rng.Float64() * 2 * math.Pi
+		track, err := model.Track(start, theta, periods, rng)
+		if err != nil {
+			return nil, err
+		}
+		if !confine || InBounds(track, bounds) {
+			return track, nil
+		}
+	}
+	return nil, fmt.Errorf("%d attempts: %w", maxConfineAttempts, ErrConfinement)
 }
