@@ -42,8 +42,10 @@ type MultiResult struct {
 type multiPartial struct {
 	detections []int // per target
 	all, any   int
-	tracks     [][]geom.Point
-	detected   []bool
+	// tracks and detected hold the current trial's tracks and per-target
+	// outcomes, reused across the worker's trials.
+	tracks   [][]geom.Point
+	detected []bool
 }
 
 // RunMulti simulates several simultaneous targets whose tracks stay at

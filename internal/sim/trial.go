@@ -42,16 +42,15 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	}
 	sensors := scratch.sensors
 	n := len(sensors)
-	var exposure sensing.Exposure
-	if cfg.ExposureLambda > 0 {
-		var err error
-		if exposure, err = sensing.NewExposure(p.Rs, cfg.ExposureLambda); err != nil {
-			return nil, err
-		}
-	}
 	fa, err := sensing.NewFalseAlarm(cfg.FalseAlarmP)
 	if err != nil {
 		return nil, err
+	}
+	var exposure sensing.Exposure
+	if cfg.ExposureLambda > 0 {
+		if exposure, err = sensing.NewExposure(p.Rs, cfg.ExposureLambda); err != nil {
+			return nil, err
+		}
 	}
 
 	mission := cfg.MissionPeriods
