@@ -10,21 +10,22 @@ import (
 
 // The SoA batch engine: under the counter-based RNG scheme, plain trials
 // (no faults, no delivery, no false alarms, no exposure) run batchW at a
-// time per worker pass. Deployment coordinates land in contiguous
-// structure-of-arrays float64 slices filled by tight loops over concrete
-// Philox draws — no interface dispatch, no per-trial reseed. Each trial still owns its counter stream (key = seed,
-// counter = trial), so batch results are bit-identical to running the
-// same trials one at a time through runTrial, which the determinism
-// tests assert at several worker counts.
+// time, one batch per striped work item. Deployment coordinates land in
+// contiguous structure-of-arrays float64 slices filled by tight loops over
+// concrete Philox draws — no interface dispatch, no per-trial reseed. Each
+// trial still owns its counter stream (key = seed, counter = trial), so
+// batch results are bit-identical to running the same trials one at a
+// time through runTrial, which the determinism tests assert at several
+// worker counts.
 //
 // batchW bounds the scratch footprint, not parallelism (workers is
 // that): 16 slots × 240 sensors × 2 coordinates ≈ 60 KiB of float64,
 // comfortably cache-resident.
 const batchW = 16
 
-// batchScratch is the per-worker arena of the batch engine, pooled like
-// trialScratch so benchmark-shaped campaigns (one short Run per
-// iteration) reuse the arrays across Run calls.
+// batchScratch is the arena of one batch, pooled like trialScratch so
+// batches — and benchmark-shaped campaigns (one short Run per iteration)
+// — reuse the arrays.
 type batchScratch struct {
 	phil   [batchW]field.Philox
 	rands  [batchW]*rand.Rand // rand.New(&phil[j]), built once; track sampling needs *rand.Rand
