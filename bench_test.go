@@ -541,6 +541,37 @@ func BenchmarkFaultyTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkLossyTrial measures one lossy-relay trial in the campaign's
+// lossy configuration: N=180 sensors relaying every report over a 6 km
+// unit-disk network with 0.9 per-hop delivery and 2 retries, under the
+// philox scheme. Each trial builds its network and routes only the
+// sensors that report.
+func BenchmarkLossyTrial(b *testing.B) {
+	p := detect.Defaults()
+	p.N = 180
+	cfg := sim.Config{
+		Params:    p,
+		Trials:    1,
+		Workers:   1,
+		RNG:       field.SchemePhilox,
+		CommRange: 6000,
+		Loss: netsim.LossModel{
+			PerHopDelivery: 0.9,
+			MaxRetries:     2,
+			PerHop:         10 * time.Second,
+			Backoff:        5 * time.Second,
+			Budget:         p.T,
+		},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // coordinatorBench runs one full fan-out campaign (12 points, 4 shards)
 // over the given worker URLs with a fresh ledger per iteration.
 func coordinatorBench(b *testing.B, workers []string) {

@@ -48,11 +48,6 @@ var knownUnused = map[string]bool{
 	"internal/matrix.(Matrix).IsRowStochastic": true,
 	"internal/matrix.FromRows":                 true,
 	"internal/matrix.MaxAbsDiff":               true,
-	"internal/netsim.(Network).Degree":         true,
-	"internal/netsim.(Network).Node":           true,
-	"internal/netsim.(Network).ShortestHops":   true,
-	"internal/netsim.(Network).Subset":         true,
-	"internal/netsim.RandomFailures":           true,
 	"internal/numeric.AlmostEqual":             true,
 	"internal/numeric.BinomialMean":            true,
 	"internal/numeric.BinomialVariance":        true,

@@ -14,7 +14,8 @@ import (
 //
 // Cell contents live in one flat array (cellIDs, sliced by cellStart) built
 // with a counting pass, so a Rebuild on a recycled Index allocates nothing
-// once its backing arrays have grown to size.
+// once its backing arrays have grown to size. The three int32 arrays share
+// one allocation.
 type Index struct {
 	bounds geom.Rect
 	cell   float64
@@ -27,6 +28,7 @@ type Index struct {
 	cellStart []int32
 	cellIDs   []int32
 	cellOf    []int32 // per-point cell, cached between Rebuild's two passes
+	grid      []int32 // backing of cellStart, cellIDs and cellOf
 }
 
 // NewIndex builds an index over points with the given cell size. Points
@@ -113,21 +115,16 @@ func (idx *Index) reindex(bounds geom.Rect, cellSize float64) {
 	points := idx.points
 
 	nCells := cols * rows
-	if cap(idx.cellStart) < nCells+1 {
-		idx.cellStart = make([]int32, nCells+1)
+	ids := nCells + 1 + len(points)
+	if need := ids + len(points); cap(idx.grid) < need {
+		idx.grid = make([]int32, need)
 	} else {
-		idx.cellStart = idx.cellStart[:nCells+1]
-		for i := range idx.cellStart {
-			idx.cellStart[i] = 0
-		}
+		idx.grid = idx.grid[:need]
 	}
-	if cap(idx.cellIDs) < len(points) {
-		idx.cellIDs = make([]int32, len(points))
-		idx.cellOf = make([]int32, len(points))
-	} else {
-		idx.cellIDs = idx.cellIDs[:len(points)]
-		idx.cellOf = idx.cellOf[:len(points)]
-	}
+	idx.cellStart = idx.grid[: nCells+1 : nCells+1]
+	clear(idx.cellStart)
+	idx.cellIDs = idx.grid[nCells+1 : ids : ids]
+	idx.cellOf = idx.grid[ids:]
 	// Counting sort: count per cell, prefix-sum into start offsets, then
 	// place ids using cellStart[c] as the fill cursor. After the fill every
 	// cursor sits at its cell's end, i.e. the next cell's start, so one

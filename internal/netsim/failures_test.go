@@ -10,7 +10,7 @@ import (
 
 func TestSubsetValidation(t *testing.T) {
 	n := mustNetwork(t, line(4, 10), 15, geom.Square(100))
-	if _, _, err := n.Subset([]bool{true}, geom.Square(100)); err == nil {
+	if _, _, err := subset(n, []bool{true}, geom.Square(100)); err == nil {
 		t.Error("wrong mask length should fail")
 	}
 }
@@ -19,7 +19,7 @@ func TestSubsetRemovesNodes(t *testing.T) {
 	n := mustNetwork(t, line(5, 10), 15, geom.Square(100))
 	// Kill the middle node: the line splits in two.
 	keep := []bool{true, true, false, true, true}
-	sub, mapping, err := n.Subset(keep, geom.Square(100))
+	sub, mapping, err := subset(n, keep, geom.Square(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestSubsetRemovesNodes(t *testing.T) {
 		}
 	}
 	// Positions survive the remap.
-	if sub.Node(2) != n.Node(3) {
+	if node(sub, 2) != node(n, 3) {
 		t.Error("subset node positions wrong")
 	}
 }
 
 func TestRandomFailures(t *testing.T) {
 	rng := field.NewRand(5)
-	keep, err := RandomFailures(1000, 0.7, rng, 0)
+	keep, err := randomFailures(1000, 0.7, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestRandomFailures(t *testing.T) {
 	if alive < 640 || alive > 760 {
 		t.Errorf("survivors = %d, expected ~700", alive)
 	}
-	if _, err := RandomFailures(10, 1.5, rng); err == nil {
+	if _, err := randomFailures(10, 1.5, rng); err == nil {
 		t.Error("bad survival probability should fail")
 	}
-	if _, err := RandomFailures(-1, 0.5, rng); err == nil {
+	if _, err := randomFailures(-1, 0.5, rng); err == nil {
 		t.Error("negative nodes should fail")
 	}
-	if _, err := RandomFailures(10, 0.5, rng, 99); err == nil {
+	if _, err := randomFailures(10, 0.5, rng, 99); err == nil {
 		t.Error("out-of-range protect should fail")
 	}
 }
@@ -84,11 +84,11 @@ func TestDeliveryDegradesGracefullyUnderFailures(t *testing.T) {
 	base := 0
 
 	run := func(survive float64) float64 {
-		keep, err := RandomFailures(n.Len(), survive, rng, base)
+		keep, err := randomFailures(n.Len(), survive, rng, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, mapping, err := n.Subset(keep, bounds)
+		sub, mapping, err := subset(n, keep, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestSubsetRoundTripsNodeIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := RandomFailures(n.Len(), 0.7, field.NewRand(22), 0)
+	keep, err := randomFailures(n.Len(), 0.7, field.NewRand(22), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, mapping, err := n.Subset(keep, bounds)
+	sub, mapping, err := subset(n, keep, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSubsetRoundTripsNodeIDs(t *testing.T) {
 			t.Fatalf("original id %d mapped twice", origID)
 		}
 		seen[origID] = true
-		if sub.Node(subID) != n.Node(origID) {
+		if node(sub, subID) != node(n, origID) {
 			t.Fatalf("sub node %d position differs from original %d", subID, origID)
 		}
 	}

@@ -115,7 +115,8 @@ func (n *Network) ShortestPath(src, dst int) ([]int, error) {
 	if !n.Connected(src, dst) {
 		return nil, fmt.Errorf("node %d to %d: %w", src, dst, ErrUnreachable)
 	}
-	parent := make([]int32, len(n.nodes))
+	adj := n.sweep()
+	parent := make([]int32, n.Len())
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -124,7 +125,7 @@ func (n *Network) ShortestPath(src, dst int) ([]int, error) {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range n.adj[u] {
+		for _, v := range adj[u] {
 			if parent[v] >= 0 {
 				continue
 			}

@@ -247,7 +247,7 @@ func TestShortestPathMatchesShortestHops(t *testing.T) {
 	}
 	n := mustNetwork(t, pts, 6000, bounds)
 	for dst := 1; dst < 40; dst++ {
-		hops, err := n.ShortestHops(0, dst)
+		hops, err := shortestHops(n, 0, dst)
 		if errors.Is(err, ErrUnreachable) {
 			if _, err := n.ShortestPath(0, dst); !errors.Is(err, ErrUnreachable) {
 				t.Fatalf("dst %d: hops unreachable but path found", dst)
@@ -269,7 +269,7 @@ func TestShortestPathMatchesShortestHops(t *testing.T) {
 		}
 		// Every consecutive pair must be adjacent.
 		for i := 1; i < len(path); i++ {
-			if n.Node(path[i-1]).Dist(n.Node(path[i])) > 6000 {
+			if node(n, path[i-1]).Dist(node(n, path[i])) > 6000 {
 				t.Errorf("dst %d: hop %d-%d not adjacent", dst, path[i-1], path[i])
 			}
 		}

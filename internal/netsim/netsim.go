@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/groupdetect/gbd/internal/field"
@@ -29,16 +30,36 @@ var ErrUnreachable = errors.New("netsim: destination unreachable")
 var ErrGreedyStuck = errors.New("netsim: greedy forwarding stuck in local minimum")
 
 // Network is a static unit-disk communication graph over node positions.
+//
+// The graph is built lazily, because a trial routes only the handful of
+// sensors that report: New records the nodes in a spatial index and
+// nothing else. A node's neighbor list is filled on first use with one
+// circle query; the whole-graph operations (components, BFS hop counts,
+// Delivery) instead fill every list at once with a single ordered pair
+// sweep. Both fills produce the same lists in the same order (see
+// field.Index.Pairs), so no result depends on which one ran.
+//
+// Every method is safe for concurrent use except Rebuild, which must not
+// overlap any other call on the network or on a Routing built over it.
 type Network struct {
-	nodes     []geom.Point
+	idx       field.Index // the node positions, indexed on a commRange grid
 	commRange float64
-	adj       [][]int32 // per-node views into one shared backing array
-	comp      []int     // connected component id per node
-	nComp     int
 
-	mu     sync.Mutex
+	mu    sync.Mutex  // guards the lazy fills and routes
+	adj   [][]int32   // per-node neighbor lists; nil until filled
+	swept atomic.Bool // every list holds the pair sweep's fill
+	lazy  []int32     // backing of the lists filled one node at a time
+	csr   []int32     // backing of the pair sweep's lists
+	query []int       // circle-query buffer
+	comp  []int       // connected component id per node, once nComp >= 0
+	nComp int
+
 	routes map[int]*Routing // lazily built all-alive tables, keyed by base
 }
+
+// noNeighbors is the filled list of an isolated node, distinct from the
+// nil that marks an unfilled one.
+var noNeighbors = []int32{}
 
 // CenterNode returns the node nearest the center of bounds (the lowest
 // id on ties, 0 when there are no nodes): the base-station site the
@@ -58,35 +79,99 @@ func CenterNode(nodes []geom.Point, bounds geom.Rect) int {
 // of each other. bounds must contain the deployment (it sizes the internal
 // spatial index).
 func New(nodes []geom.Point, commRange float64, bounds geom.Rect) (*Network, error) {
-	if commRange <= 0 || math.IsNaN(commRange) {
-		return nil, fmt.Errorf("comm range %v: %w", commRange, ErrNetwork)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds: %w", ErrNetwork)
-	}
-	n := &Network{
-		nodes:     append([]geom.Point(nil), nodes...),
-		commRange: commRange,
-	}
-	sc := buildPool.Get().(*buildScratch)
-	defer buildPool.Put(sc)
-	if err := sc.idx.Rebuild(n.nodes, bounds, commRange); err != nil {
+	n := new(Network)
+	if err := n.Rebuild(nodes, commRange, bounds); err != nil {
 		return nil, err
 	}
-	// Enumerate each within-range pair once; the stream's ordering
-	// guarantee (see field.Index.Pairs) means one in-order sweep fills
-	// every node's neighbor list in exactly the order a QueryCircle per
-	// node produced, at half the distance tests.
-	pairs := sc.idx.Pairs(commRange, sc.pairs[:0])
+	return n, nil
+}
+
+// Rebuild re-aims the network at a new deployment in place, reusing its
+// storage, so a recycled Network keeps per-trial graph builds off the
+// heap. It invalidates every Routing built over n; rebuild those too.
+func (n *Network) Rebuild(nodes []geom.Point, commRange float64, bounds geom.Rect) error {
+	if commRange <= 0 || math.IsNaN(commRange) {
+		return fmt.Errorf("comm range %v: %w", commRange, ErrNetwork)
+	}
+	if bounds.Area() <= 0 {
+		return fmt.Errorf("empty bounds: %w", ErrNetwork)
+	}
+	if err := n.idx.Rebuild(nodes, bounds, commRange); err != nil {
+		return err
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.commRange = commRange
+	if cap(n.adj) < len(nodes) {
+		n.adj = make([][]int32, len(nodes))
+	} else {
+		n.adj = n.adj[:len(nodes)]
+		clear(n.adj)
+	}
+	n.swept.Store(false)
+	n.lazy = n.lazy[:0]
+	n.nComp = -1
+	clear(n.routes)
+	return nil
+}
+
+// neighbors returns node i's neighbor list, filling it on first use with
+// one circle query. QueryCircle reports ids in the index's cell-scan
+// order, the order the pair sweep fills lists in, and includes i itself.
+func (n *Network) neighbors(i int32) []int32 {
+	if n.swept.Load() {
+		return n.adj[i]
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if l := n.adj[i]; l != nil {
+		return l
+	}
+	n.query = n.idx.QueryCircle(n.idx.Point(int(i)), n.commRange, n.query[:0])
+	lo := len(n.lazy)
+	for _, j := range n.query {
+		if j != int(i) {
+			n.lazy = append(n.lazy, int32(j))
+		}
+	}
+	l := noNeighbors
+	if hi := len(n.lazy); hi > lo {
+		l = n.lazy[lo:hi:hi]
+	}
+	n.adj[i] = l
+	return l
+}
+
+// sweep fills every neighbor list at once and returns them. After the
+// first sweep the lists never change until Rebuild, so callers read them
+// without the lock.
+func (n *Network) sweep() [][]int32 {
+	if !n.swept.Load() {
+		n.mu.Lock()
+		if !n.swept.Load() {
+			n.sweepLocked()
+			n.swept.Store(true)
+		}
+		n.mu.Unlock()
+	}
+	return n.adj
+}
+
+// sweepLocked enumerates each within-range pair once; the stream's
+// ordering guarantee (see field.Index.Pairs) means one in-order sweep
+// fills every node's list in exactly the order a QueryCircle per node
+// produces, at half the distance tests.
+func (n *Network) sweepLocked() {
+	sc := buildPool.Get().(*buildScratch)
+	defer buildPool.Put(sc)
+	pairs := n.idx.Pairs(n.commRange, sc.pairs[:0])
 	sc.pairs = pairs
-	nn := len(n.nodes)
+	nn := n.Len()
 	if cap(sc.starts) < nn+1 {
 		sc.starts = make([]int32, nn+1)
 	} else {
 		sc.starts = sc.starts[:nn+1]
-		for i := range sc.starts {
-			sc.starts[i] = 0
-		}
+		clear(sc.starts)
 	}
 	starts := sc.starts
 	for _, e := range pairs {
@@ -96,53 +181,60 @@ func New(nodes []geom.Point, commRange float64, bounds geom.Rect) (*Network, err
 	for i := 0; i < nn; i++ {
 		starts[i+1] += starts[i]
 	}
-	// Neighbor lists share one exactly-sized backing array; starts[i] is
-	// node i's fill cursor and ends at node i's list end.
-	backing := make([]int32, starts[nn])
+	// Neighbor lists share one backing array; starts[i] is node i's fill
+	// cursor and ends at node i's list end.
+	if cap(n.csr) < int(starts[nn]) {
+		n.csr = make([]int32, starts[nn])
+	}
+	backing := n.csr[:starts[nn]]
 	for _, e := range pairs {
 		backing[starts[e[0]]] = e[1]
 		starts[e[0]]++
 		backing[starts[e[1]]] = e[0]
 		starts[e[1]]++
 	}
-	n.adj = make([][]int32, nn)
 	lo := int32(0)
 	for i := 0; i < nn; i++ {
 		hi := starts[i]
-		n.adj[i] = backing[lo:hi:hi]
+		n.adj[i] = noNeighbors
+		if hi > lo {
+			n.adj[i] = backing[lo:hi:hi]
+		}
 		lo = hi
 	}
-	n.computeComponents()
-	return n, nil
 }
 
-// buildScratch recycles New's transient state — the spatial index and the
-// pair stream — across network constructions, keeping per-trial graph
-// builds off the heap.
+// buildScratch recycles the pair sweep's transient state across sweeps.
 type buildScratch struct {
-	idx    field.Index
 	pairs  [][2]int32
 	starts []int32
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
-// bfsScratch recycles Delivery's BFS state across calls.
-type bfsScratch struct {
-	dist  []int
-	queue []int32
-}
+// routePool recycles Delivery's routing tables across calls.
+var routePool = sync.Pool{New: func() any { return new(Routing) }}
 
-var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
-
-func (n *Network) computeComponents() {
-	n.comp = make([]int, len(n.nodes))
+// components returns the component id per node and the component count,
+// computing them on first use.
+func (n *Network) components() ([]int, int) {
+	adj := n.sweep()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.nComp >= 0 {
+		return n.comp, n.nComp
+	}
+	nn := n.Len()
+	if cap(n.comp) < nn {
+		n.comp = make([]int, nn)
+	}
+	n.comp = n.comp[:nn]
 	for i := range n.comp {
 		n.comp[i] = -1
 	}
 	id := 0
-	queue := make([]int32, 0, len(n.nodes))
-	for i := range n.nodes {
+	queue := make([]int32, 0, nn)
+	for i := range n.comp {
 		if n.comp[i] >= 0 {
 			continue
 		}
@@ -151,7 +243,7 @@ func (n *Network) computeComponents() {
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			for _, v := range n.adj[u] {
+			for _, v := range adj[u] {
 				if n.comp[v] < 0 {
 					n.comp[v] = id
 					queue = append(queue, v)
@@ -161,77 +253,42 @@ func (n *Network) computeComponents() {
 		id++
 	}
 	n.nComp = id
+	return n.comp, n.nComp
 }
 
 // Len returns the number of nodes.
-func (n *Network) Len() int { return len(n.nodes) }
-
-// Node returns the position of node i.
-func (n *Network) Node(i int) geom.Point { return n.nodes[i] }
-
-// Degree returns the number of neighbors of node i.
-func (n *Network) Degree(i int) int { return len(n.adj[i]) }
+func (n *Network) Len() int { return n.idx.Len() }
 
 // Components returns the number of connected components (0 for an empty
 // network).
-func (n *Network) Components() int { return n.nComp }
+func (n *Network) Components() int {
+	_, k := n.components()
+	return k
+}
 
 // Connected reports whether a and b are in the same component.
 func (n *Network) Connected(a, b int) bool {
-	return n.comp[a] == n.comp[b]
-}
-
-// ShortestHops returns the minimum hop count from src to dst by BFS.
-func (n *Network) ShortestHops(src, dst int) (int, error) {
-	if err := n.checkIDs(src, dst); err != nil {
-		return 0, err
-	}
-	if src == dst {
-		return 0, nil
-	}
-	if !n.Connected(src, dst) {
-		return 0, fmt.Errorf("node %d to %d: %w", src, dst, ErrUnreachable)
-	}
-	dist := make([]int, len(n.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range n.adj[u] {
-			if dist[v] >= 0 {
-				continue
-			}
-			dist[v] = dist[u] + 1
-			if int(v) == dst {
-				return dist[v], nil
-			}
-			queue = append(queue, v)
-		}
-	}
-	return 0, fmt.Errorf("node %d to %d: %w", src, dst, ErrUnreachable)
+	comp, _ := n.components()
+	return comp[a] == comp[b]
 }
 
 // GreedyRoute returns the node sequence of greedy geographic forwarding
 // from src to dst: each hop goes to the neighbor strictly closest to the
 // destination. It fails with ErrGreedyStuck at a local minimum (the
-// situation GPSR's perimeter mode repairs; ShortestHops shows whether a
-// detour exists).
+// situation GPSR's perimeter mode repairs; ShortestPath finds the
+// detour when one exists).
 func (n *Network) GreedyRoute(src, dst int) ([]int, error) {
 	if err := n.checkIDs(src, dst); err != nil {
 		return nil, err
 	}
 	path := []int{src}
 	cur := src
-	goal := n.nodes[dst]
+	goal := n.idx.Point(dst)
 	for cur != dst {
 		best := -1
-		bestD := n.nodes[cur].Dist2(goal)
-		for _, v := range n.adj[cur] {
-			if d := n.nodes[v].Dist2(goal); d < bestD {
+		bestD := n.idx.Point(cur).Dist2(goal)
+		for _, v := range n.neighbors(int32(cur)) {
+			if d := n.idx.Point(int(v)).Dist2(goal); d < bestD {
 				bestD = d
 				best = int(v)
 			}
@@ -241,41 +298,17 @@ func (n *Network) GreedyRoute(src, dst int) ([]int, error) {
 		}
 		cur = best
 		path = append(path, cur)
-		if len(path) > len(n.nodes) {
+		if len(path) > n.Len() {
 			return path, fmt.Errorf("routing loop toward %d: %w", dst, ErrGreedyStuck)
 		}
 	}
 	return path, nil
 }
 
-// greedyOK reports whether greedy forwarding from src reaches dst — the
-// same walk as GreedyRoute without materializing the path, so Delivery's
-// every-node sweep stays off the heap. A strictly-improving walk cannot
-// revisit a node, so the hop bound only guards degenerate geometry.
-func (n *Network) greedyOK(src, dst int) bool {
-	cur := src
-	goal := n.nodes[dst]
-	for hops := 0; cur != dst; hops++ {
-		best := -1
-		bestD := n.nodes[cur].Dist2(goal)
-		for _, v := range n.adj[cur] {
-			if d := n.nodes[v].Dist2(goal); d < bestD {
-				bestD = d
-				best = int(v)
-			}
-		}
-		if best < 0 || hops >= len(n.nodes) {
-			return false
-		}
-		cur = best
-	}
-	return true
-}
-
 func (n *Network) checkIDs(ids ...int) error {
 	for _, id := range ids {
-		if id < 0 || id >= len(n.nodes) {
-			return fmt.Errorf("node id %d out of range [0,%d): %w", id, len(n.nodes), ErrNetwork)
+		if id < 0 || id >= n.Len() {
+			return fmt.Errorf("node id %d out of range [0,%d): %w", id, n.Len(), ErrNetwork)
 		}
 	}
 	return nil
@@ -312,51 +345,39 @@ func (n *Network) Delivery(base int, perHop, budget time.Duration) (DeliveryStat
 	if perHop <= 0 || budget <= 0 {
 		return DeliveryStats{}, fmt.Errorf("perHop %v, budget %v: %w", perHop, budget, ErrNetwork)
 	}
-	// Single BFS from the base computes all shortest hop counts; the
-	// dist/queue scratch is pooled because the fault-injection benchmarks
-	// evaluate Delivery per trial.
-	sc := bfsPool.Get().(*bfsScratch)
-	defer bfsPool.Put(sc)
-	dist := sc.dist
-	if cap(dist) < len(n.nodes) {
-		dist = make([]int, len(n.nodes))
-	} else {
-		dist = dist[:len(n.nodes)]
+	// An all-alive routing table toward the base answers both questions:
+	// its BFS gives every shortest hop count, and its memoized greedy
+	// walks visit each node once instead of once per source. The table
+	// is pooled because the fault-injection benchmarks evaluate Delivery
+	// per trial.
+	r := routePool.Get().(*Routing)
+	defer func() {
+		r.net = nil
+		routePool.Put(r)
+	}()
+	if err := r.Rebuild(n, base, nil); err != nil {
+		return DeliveryStats{}, err
 	}
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[base] = 0
-	queue := append(sc.queue[:0], int32(base))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range n.adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	sc.dist, sc.queue = dist, queue
-	stats := DeliveryStats{Nodes: len(n.nodes) - 1}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	hops := r.bfsLocked()
+	stats := DeliveryStats{Nodes: n.Len() - 1}
 	var hopSum int
 	maxHops := int(budget / perHop)
-	for i := range n.nodes {
-		if i == base {
-			continue
-		}
-		if dist[i] < 0 {
+	for i, h32 := range hops {
+		h := int(h32)
+		if i == base || h < 0 {
 			continue
 		}
 		stats.Reachable++
-		hopSum += dist[i]
-		if dist[i] > stats.MaxHops {
-			stats.MaxHops = dist[i]
+		hopSum += h
+		if h > stats.MaxHops {
+			stats.MaxHops = h
 		}
-		if dist[i] <= maxHops {
+		if h <= maxHops {
 			stats.WithinBudget++
 		}
-		if n.greedyOK(i, base) {
+		if r.greedyHopsLocked(int32(i)) >= 0 {
 			stats.GreedyOK++
 		}
 	}
@@ -367,22 +388,22 @@ func (n *Network) Delivery(base int, perHop, budget time.Duration) (DeliveryStat
 }
 
 // HopsFrom returns the shortest hop count from base to every node with a
-// single BFS: hops[i] is -1 for nodes disconnected from base. It is the
-// bulk companion to ShortestHops.
+// single BFS: hops[i] is -1 for nodes disconnected from base.
 func (n *Network) HopsFrom(base int) ([]int, error) {
 	if err := n.checkIDs(base); err != nil {
 		return nil, err
 	}
-	hops := make([]int, len(n.nodes))
+	adj := n.sweep()
+	hops := make([]int, n.Len())
 	for i := range hops {
 		hops[i] = -1
 	}
 	hops[base] = 0
-	queue := []int32{int32(base)}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range n.adj[u] {
+	queue := make([]int32, 1, n.Len())
+	queue[0] = int32(base)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range adj[u] {
 			if hops[v] < 0 {
 				hops[v] = hops[u] + 1
 				queue = append(queue, v)

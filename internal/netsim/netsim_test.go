@@ -41,23 +41,23 @@ func TestLineTopology(t *testing.T) {
 		t.Fatalf("Len = %d", n.Len())
 	}
 	// Node 0 reaches nodes at distance 10 only (range 15).
-	if n.Degree(0) != 1 {
-		t.Errorf("degree(0) = %d, want 1", n.Degree(0))
+	if degree(n, 0) != 1 {
+		t.Errorf("degree(0) = %d, want 1", degree(n, 0))
 	}
-	if n.Degree(2) != 2 {
-		t.Errorf("degree(2) = %d, want 2", n.Degree(2))
+	if degree(n, 2) != 2 {
+		t.Errorf("degree(2) = %d, want 2", degree(n, 2))
 	}
 	if n.Components() != 1 {
 		t.Errorf("components = %d, want 1", n.Components())
 	}
-	hops, err := n.ShortestHops(0, 4)
+	hops, err := shortestHops(n, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hops != 4 {
 		t.Errorf("hops = %d, want 4", hops)
 	}
-	if h, err := n.ShortestHops(2, 2); err != nil || h != 0 {
+	if h, err := shortestHops(n, 2, 2); err != nil || h != 0 {
 		t.Errorf("self hops = %d, %v", h, err)
 	}
 }
@@ -74,7 +74,7 @@ func TestDisconnected(t *testing.T) {
 	if !n.Connected(0, 1) {
 		t.Error("nodes 0 and 1 should be connected")
 	}
-	if _, err := n.ShortestHops(0, 2); !errors.Is(err, ErrUnreachable) {
+	if _, err := shortestHops(n, 0, 2); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("expected ErrUnreachable, got %v", err)
 	}
 }
@@ -106,7 +106,7 @@ func TestGreedyRouteStuckInVoid(t *testing.T) {
 	}
 	n := mustNetwork(t, pts, 11, geom.Rect{MinX: -5, MinY: -5, MaxX: 30, MaxY: 30})
 	// BFS finds the detour.
-	hops, err := n.ShortestHops(0, 4)
+	hops, err := shortestHops(n, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestGreedyRouteIDValidation(t *testing.T) {
 	if _, err := n.GreedyRoute(-1, 2); err == nil {
 		t.Error("negative id should fail")
 	}
-	if _, err := n.ShortestHops(0, 7); err == nil {
+	if _, err := shortestHops(n, 0, 7); err == nil {
 		t.Error("out-of-range id should fail")
 	}
 }
@@ -205,7 +205,7 @@ func TestPaperCommAssumption(t *testing.T) {
 func TestNodeAccessor(t *testing.T) {
 	pts := line(2, 7)
 	n := mustNetwork(t, pts, 10, geom.Square(20))
-	if n.Node(1) != pts[1] {
+	if node(n, 1) != pts[1] {
 		t.Error("Node accessor wrong")
 	}
 }
@@ -248,7 +248,7 @@ func TestHopsFromMatchesShortestHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < n.Len(); i += 17 {
-		want, err := n.ShortestHops(0, i)
+		want, err := shortestHops(n, 0, i)
 		if err != nil {
 			if hops[i] != -1 {
 				t.Errorf("node %d: bulk %d, pairwise unreachable", i, hops[i])
@@ -261,9 +261,9 @@ func TestHopsFromMatchesShortestHops(t *testing.T) {
 	}
 }
 
-// TestGreedyOKMatchesGreedyRoute asserts the allocation-free walk that
-// Delivery uses agrees with GreedyRoute's success/failure verdict on
-// random sparse deployments, including disconnected and void-heavy ones.
+// TestGreedyOKMatchesGreedyRoute asserts the memoized greedy walks that
+// Delivery counts agree with GreedyRoute, verdict and hop count, on random
+// sparse deployments, including disconnected and void-heavy ones.
 func TestGreedyOKMatchesGreedyRoute(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		rng := field.NewRand(seed)
@@ -276,10 +276,15 @@ func TestGreedyOKMatchesGreedyRoute(t *testing.T) {
 			}
 		}
 		net := mustNetwork(t, pts, 5000, bounds)
+		r, err := net.NewRouting(0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range pts {
-			_, err := net.GreedyRoute(i, 0)
-			if got, want := net.greedyOK(i, 0), err == nil; got != want {
-				t.Fatalf("seed %d node %d: greedyOK=%v, GreedyRoute err=%v", seed, i, got, err)
+			path, err := net.GreedyRoute(i, 0)
+			got := r.greedyHopsLocked(int32(i))
+			if ok := err == nil; (got >= 0) != ok || (ok && int(got) != len(path)-1) {
+				t.Fatalf("seed %d node %d: greedy hops %d, GreedyRoute %v err=%v", seed, i, got, path, err)
 			}
 		}
 	}

@@ -7,15 +7,20 @@ import (
 )
 
 // ghopsUnknown marks a greedy walk length not yet memoized; -1 marks a walk
-// that hits a local minimum before the base.
+// that hits a local minimum before the base, or starts at a dead node.
 const ghopsUnknown = -2
 
-// Routing is a precomputed forwarding table from every node toward one base
-// station over an optional alive mask: the BFS shortest-path tree (GPSR
-// perimeter-repair stand-in) plus the greedy geographic next hop per node.
-// Send consults the table instead of re-walking the graph per report, so
-// delivery cost is O(route length) after one O(nodes + edges) Reset per
-// (deployment, alive-mask) epoch.
+// Routing is a forwarding table from every node toward one base station
+// over an optional alive mask: the greedy geographic walk length per node
+// plus the BFS shortest-path hop counts (GPSR perimeter-repair stand-in).
+// Send consults the table instead of re-walking the graph per report.
+//
+// The table fills on demand, like the Network under it: Reset records
+// the alive mask, each node's greedy next hop is computed the first time
+// a walk visits it (every node on a walk is memoized), and the BFS hop
+// table is built only on the first stuck greedy walk or Hops call. A
+// trial whose reporters all route greedily never touches the rest of the
+// graph.
 //
 // The table reproduces Network.Send on the alive-induced subgraph draw for
 // draw: the loss model consumes randomness only per hop attempted, greedy
@@ -23,36 +28,39 @@ const ghopsUnknown = -2
 // alive filter preserves), and BFS hop counts are unique, so the routed hop
 // count — the only routing output the loss loop reads — is identical.
 type Routing struct {
-	mu    sync.Mutex
-	net   *Network
-	base  int
-	hops   []int32   // BFS hop count to base over alive nodes; -1 unreachable
-	next   []int32   // greedy next hop strictly closer to base; -1 at a local minimum
-	ghops  []int32   // memoized greedy walk length; -1 stuck, ghopsUnknown unvisited
-	walk   []int32   // scratch for greedy memoization
-	queue  []int32   // scratch for BFS
-	d2goal []float64 // squared node-to-base distances, shared by the argmin pass
+	mu      sync.Mutex
+	net     *Network
+	base    int
+	alive   []bool  // the Reset mask, copied; nil means every node is alive
+	mask    []bool  // storage for alive
+	ghops   []int32 // memoized greedy walk length; ghopsUnknown unvisited
+	hops    []int32 // BFS hop count to base over alive nodes; -1 unreachable
+	hopsSet bool    // hops holds this mask epoch's BFS
+	walk    []int32 // scratch for greedy memoization
+	queue   []int32 // scratch for BFS
 }
 
 // NewRouting builds the forwarding table toward base over the nodes with
 // alive[i] true (nil means every node is alive). The base must be alive.
 func (n *Network) NewRouting(base int, alive []bool) (*Routing, error) {
-	if err := n.checkIDs(base); err != nil {
-		return nil, err
-	}
-	r := &Routing{
-		net:    n,
-		base:   base,
-		hops:   make([]int32, len(n.nodes)),
-		next:   make([]int32, len(n.nodes)),
-		ghops:  make([]int32, len(n.nodes)),
-		queue:  make([]int32, 0, len(n.nodes)),
-		d2goal: make([]float64, len(n.nodes)),
-	}
-	if err := r.Reset(alive); err != nil {
+	r := new(Routing)
+	if err := r.Rebuild(n, base, alive); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Rebuild re-aims the table at base on network n over the alive mask,
+// reusing the table's storage, so a recycled Routing keeps per-trial
+// routing off the heap.
+func (r *Routing) Rebuild(n *Network, base int, alive []bool) error {
+	if err := n.checkIDs(base); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.net, r.base = n, base
+	r.mu.Unlock()
+	return r.Reset(alive)
 }
 
 // Base returns the base-station node id the table routes toward.
@@ -64,18 +72,20 @@ func (r *Routing) Hops(src int) (int, error) {
 	if err := r.net.checkIDs(src); err != nil {
 		return 0, err
 	}
-	return int(r.hops[src]), nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return int(r.bfsLocked()[src]), nil
 }
 
-// Reset recomputes the table for a new alive mask (nil means every node is
-// alive), reusing the table's storage. This is the only cache invalidation:
-// call it exactly when the mask epoch changes.
+// Reset re-aims the table at a new alive mask (nil means every node is
+// alive), reusing the table's storage. This is the only cache
+// invalidation: call it exactly when the mask epoch changes.
 func (r *Routing) Reset(alive []bool) error {
 	routingResets.Inc()
-	n := r.net
+	nn := r.net.Len()
 	if alive != nil {
-		if len(alive) != len(n.nodes) {
-			return fmt.Errorf("alive mask length %d, want %d: %w", len(alive), len(n.nodes), ErrNetwork)
+		if len(alive) != nn {
+			return fmt.Errorf("alive mask length %d, want %d: %w", len(alive), nn, ErrNetwork)
 		}
 		if !alive[r.base] {
 			return fmt.Errorf("base station %d is dead in the alive mask: %w", r.base, ErrNetwork)
@@ -83,6 +93,62 @@ func (r *Routing) Reset(alive []bool) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.alive = nil
+	if alive != nil {
+		r.mask = append(r.mask[:0], alive...)
+		r.alive = r.mask
+	}
+	if cap(r.ghops) < nn {
+		r.ghops = make([]int32, nn)
+	}
+	r.ghops = r.ghops[:nn]
+	for i := range r.ghops {
+		r.ghops[i] = ghopsUnknown
+	}
+	r.ghops[r.base] = 0
+	r.hopsSet = false
+	return nil
+}
+
+// isAlive reports whether node i relays under the table's mask.
+func (r *Routing) isAlive(i int32) bool { return r.alive == nil || r.alive[i] }
+
+// nextHop returns node i's greedy next hop: the alive neighbor strictly
+// closest to the base (the first in adjacency order on ties), or -1 at a
+// local minimum or a dead node.
+func (r *Routing) nextHop(i int32) int32 {
+	if !r.isAlive(i) {
+		return -1
+	}
+	n := r.net
+	goal := n.idx.Point(r.base)
+	best := int32(-1)
+	bestD := n.idx.Point(int(i)).Dist2(goal)
+	for _, v := range n.neighbors(i) {
+		if !r.isAlive(v) {
+			continue
+		}
+		if d := n.idx.Point(int(v)).Dist2(goal); d < bestD {
+			bestD = d
+			best = v
+		}
+	}
+	return best
+}
+
+// bfsLocked returns the BFS hop table, building it on first use in this
+// mask epoch. A BFS reaches most of the graph, so it fills every
+// neighbor list with the network's single pair sweep.
+func (r *Routing) bfsLocked() []int32 {
+	if r.hopsSet {
+		return r.hops
+	}
+	adj := r.net.sweep()
+	nn := r.net.Len()
+	if cap(r.hops) < nn {
+		r.hops = make([]int32, nn)
+	}
+	r.hops = r.hops[:nn]
 	for i := range r.hops {
 		r.hops[i] = -1
 	}
@@ -90,8 +156,8 @@ func (r *Routing) Reset(alive []bool) error {
 	q := append(r.queue[:0], int32(r.base))
 	for head := 0; head < len(q); head++ {
 		u := q[head]
-		for _, v := range n.adj[u] {
-			if r.hops[v] >= 0 || (alive != nil && !alive[v]) {
+		for _, v := range adj[u] {
+			if r.hops[v] >= 0 || !r.isAlive(v) {
 				continue
 			}
 			r.hops[v] = r.hops[u] + 1
@@ -99,55 +165,32 @@ func (r *Routing) Reset(alive []bool) error {
 		}
 	}
 	r.queue = q[:0]
-	goal := n.nodes[r.base]
-	for i := range n.nodes {
-		r.d2goal[i] = n.nodes[i].Dist2(goal)
-	}
-	for i := range n.nodes {
-		r.next[i] = -1
-		r.ghops[i] = ghopsUnknown
-		if i == r.base {
-			r.ghops[i] = 0
-			continue
-		}
-		if alive != nil && !alive[i] {
-			r.ghops[i] = -1
-			continue
-		}
-		best := int32(-1)
-		bestD := r.d2goal[i]
-		for _, v := range n.adj[i] {
-			if alive != nil && !alive[v] {
-				continue
-			}
-			if d := r.d2goal[v]; d < bestD {
-				bestD = d
-				best = v
-			}
-		}
-		r.next[i] = best
-	}
-	return nil
+	r.hopsSet = true
+	return r.hops
 }
 
 // greedyHopsLocked returns the greedy-forwarding walk length from src to
-// the base, or -1 when the walk hits a local minimum first. First call per
-// node walks the next-hop chain and memoizes every node on it; the walk
-// cannot cycle because each hop is strictly closer to the base.
+// the base, or -1 when the walk hits a local minimum first. The first
+// call per node walks the next-hop chain, computing each hop as it goes,
+// and memoizes every node on it; the walk cannot cycle because each hop
+// is strictly closer to the base.
 func (r *Routing) greedyHopsLocked(src int32) int32 {
 	if g := r.ghops[src]; g != ghopsUnknown {
 		return g
 	}
 	walk := r.walk[:0]
-	cur := src
-	for r.ghops[cur] == ghopsUnknown && r.next[cur] >= 0 {
+	g := int32(-1) // stuck, unless the walk reaches a memoized node
+	for cur := src; ; {
 		walk = append(walk, cur)
-		cur = r.next[cur]
-	}
-	g := r.ghops[cur]
-	if g == ghopsUnknown { // next[cur] < 0: the walk is stuck at cur
-		g = -1
-		r.ghops[cur] = -1
+		next := r.nextHop(cur)
+		if next < 0 {
+			break
+		}
+		if known := r.ghops[next]; known != ghopsUnknown {
+			g = known
+			break
+		}
+		cur = next
 	}
 	for i := len(walk) - 1; i >= 0; i-- {
 		if g >= 0 {
@@ -178,7 +221,10 @@ func (r *Routing) Send(src int, m LossModel, rng *rand.Rand) (Delivery, error) {
 	}
 	r.mu.Lock()
 	gh := r.greedyHopsLocked(int32(src))
-	bfs := r.hops[src]
+	bfs := int32(-1)
+	if gh < 0 {
+		bfs = r.bfsLocked()[src]
+	}
 	r.mu.Unlock()
 	var d Delivery
 	switch {

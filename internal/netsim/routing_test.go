@@ -84,14 +84,14 @@ func TestRoutingResetMatchesSubset(t *testing.T) {
 	}
 	m := LossModel{PerHopDelivery: 1, PerHop: time.Second, Budget: time.Hour}
 	for trial := int64(0); trial < 6; trial++ {
-		keep, err := RandomFailures(full.Len(), 0.7, field.NewRand(100+trial), 5)
+		keep, err := randomFailures(full.Len(), 0.7, field.NewRand(100+trial), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := r.Reset(keep); err != nil {
 			t.Fatal(err)
 		}
-		sub, mapping, err := full.Subset(keep, bounds)
+		sub, mapping, err := subset(full, keep, bounds)
 		if err != nil {
 			t.Fatal(err)
 		}

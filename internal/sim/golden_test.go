@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -260,4 +261,50 @@ func TestGoldenRandomWalkCampaign(t *testing.T) {
 	exacti(t, "Detections", res.Detections, 247)
 	exactf(t, "MeanReports", res.MeanReports, 9.2566666666666659)
 	exactf(t, "Latency.Mean", res.Latency.Mean(), 10.607287449392713)
+}
+
+// TestGoldenRelayClasses pins every trial class that routes reports over
+// the unit-disk relay network — lossy, faulty-relay with a static and a
+// changing alive mask, and beaconing — from dense to partitioned ranges
+// under both RNG schemes, through DetectionProb and every Faults counter.
+// The values were recorded before the network and its routing table were
+// built lazily and must stay exact.
+func TestGoldenRelayClasses(t *testing.T) {
+	lossy := func(p float64, retries int) netsim.LossModel {
+		return netsim.LossModel{PerHopDelivery: p, MaxRetries: retries, PerHop: 10 * time.Second, Backoff: 5 * time.Second}
+	}
+	for _, tc := range []struct {
+		name      string
+		n         int
+		commRange float64
+		rng       field.RNGScheme
+		faults    faults.Model
+		beacons   bool
+		loss      netsim.LossModel
+		want      string
+	}{
+		{"lossy campaign", 180, 6000, field.SchemePhilox, nil, false, lossy(0.9, 2), "0.89500000000000002 2676/2618/52/6/21 1"},
+		{"lossy sparse", 120, 4000, field.SchemeLegacy, nil, false, lossy(0.8, 1), "0.57499999999999996 1792/838/430/524/788 1"},
+		{"lossy partitioned", 60, 3000, field.SchemePhilox, nil, false, lossy(0.95, 0), "0.065000000000000002 893/145/0/748/749 1"},
+		{"faulty relay", 180, 6000, field.SchemePhilox, faults.Bernoulli{DeadFrac: 0.2}, false, lossy(0.9, 2), "0.84999999999999998 2337/2290/41/6/8 0.79863888888888934"},
+		{"faulty relay sparse", 240, 5000, field.SchemeLegacy, faults.Bernoulli{DeadFrac: 0.5}, false, lossy(0.9, 1), "0.79500000000000004 1877/1657/154/66/185 0.49941666666666679"},
+		{"lifetime relay", 180, 6000, field.SchemePhilox, faults.Lifetime{Hazard: 0.05}, false, lossy(0.9, 2), "0.77500000000000002 1705/1638/52/15/61 0.61192916666666675"},
+		{"beacons", 120, 6000, field.SchemeLegacy, nil, true, lossy(0.9, 2), "0.75 1787/1718/59/10/39 1"},
+	} {
+		p := detect.Defaults()
+		p.N = tc.n
+		res, err := sim.Run(sim.Config{
+			Params: p, Trials: 200, Seed: 5, Workers: 2, RNG: tc.rng,
+			CommRange: tc.commRange, Faults: tc.faults, Beacons: tc.beacons, Loss: tc.loss,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Faults
+		got := fmt.Sprintf("%.17g %d/%d/%d/%d/%d %.17g", res.DetectionProb,
+			f.Generated, f.Delivered, f.Late, f.Lost, f.Rerouted, f.MeanAliveFrac)
+		if got != tc.want {
+			t.Errorf("%s: got %q, want exactly %q", tc.name, got, tc.want)
+		}
+	}
 }

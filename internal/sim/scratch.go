@@ -11,10 +11,10 @@ import (
 
 // trialScratch is the per-worker arena of the trial hot path: everything a
 // trial needs that would otherwise be reallocated per trial — the RNG, the
-// deployment, the spatial indexes, the period counters, and the query
-// buffer. Workers check one out per trial from scratchPool, so the storage
-// survives across trials (and across Run calls, which benchmark loops
-// rely on) without any cross-worker sharing.
+// deployment, the spatial indexes, the relay network, the period
+// counters, and the query buffer. Workers check one out per trial from
+// scratchPool, so the storage survives across trials (and across Run
+// calls, which benchmark loops rely on) without any cross-worker sharing.
 //
 // Nothing in a scratch may escape into results: detailed trials copy the
 // deployment out before the scratch returns to the pool.
@@ -22,6 +22,7 @@ type trialScratch struct {
 	stream    *field.Stream
 	sensors   []geom.Point
 	idx       []field.Index // one per sensor class
+	relay     relayState    // the relay network when CommRange is set
 	perPeriod []int         // per-period report arrivals, 1-based
 	buf       []int         // spatial-query result buffer
 }

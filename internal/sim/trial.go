@@ -80,10 +80,9 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	// are mutually exclusive (withDefaults enforces it).
 	withDelivery := cfg.CommRange > 0 && n > 0
 	uplink := cfg.PDeliver > 0 && cfg.PDeliver < 1
-	var relay *relayState
+	relay := &scratch.relay
 	if withDelivery {
-		relay, err = newRelayState(sensors, cfg.CommRange, bounds)
-		if err != nil {
+		if err := relay.rebuild(sensors, cfg.CommRange, bounds); err != nil {
 			return nil, err
 		}
 	}
@@ -373,36 +372,37 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 // base that is Reset — not rebuilt — only when the alive mask changes.
 // Routing over the alive mask reproduces what the Subset-and-rebuild path
 // computed, draw for draw (see netsim.Routing), without reconstructing a
-// network per mask epoch.
+// network per mask epoch. It lives in the pooled trial scratch, so the
+// network and table are rebuilt in place trial after trial.
 type relayState struct {
-	full *netsim.Network
-	base int // base station id in the full network
+	net  netsim.Network
+	base int // base station id
 
-	// Cached routing state for the current mask.
-	mask    []bool
+	// Routing state for the current mask.
+	aimed   bool   // routing is aimed at this trial's network and mask
+	mask    []bool // the mask routing is aimed at; empty when all alive
 	keep    []bool // mask with the base forced alive
-	routing *netsim.Routing
+	routing netsim.Routing
 }
 
-func newRelayState(sensors []geom.Point, commRange float64, bounds geom.Rect) (*relayState, error) {
-	full, err := netsim.New(sensors, commRange, bounds)
-	if err != nil {
-		return nil, err
+// rebuild re-aims the relay at a new deployment.
+func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geom.Rect) error {
+	if err := r.net.Rebuild(sensors, commRange, bounds); err != nil {
+		return err
 	}
-	return &relayState{full: full, base: netsim.CenterNode(sensors, bounds)}, nil
+	r.base = netsim.CenterNode(sensors, bounds)
+	r.aimed = false
+	return nil
 }
 
 // send forwards a report from sensor id to the base over the network
 // induced by the alive mask (nil means everyone is alive). The base is
 // protected: it relays even when the mask marks it dead.
 func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.Rand) (netsim.Delivery, error) {
-	if mask == nil {
-		return r.full.Send(id, r.base, loss, rng)
-	}
-	if err := r.refresh(mask); err != nil {
+	if err := r.aim(mask); err != nil {
 		return netsim.Delivery{}, err
 	}
-	if !mask[id] && id != r.base {
+	if mask != nil && !mask[id] && id != r.base {
 		// Defensive: dead sensors are filtered before sensing, so a report
 		// from one is a bug in the caller.
 		return netsim.Delivery{}, fmt.Errorf("report from dead sensor %d: %w", id, ErrConfig)
@@ -410,23 +410,23 @@ func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.
 	return r.routing.Send(id, loss, rng)
 }
 
-// refresh re-aims the routing table when the mask changed.
-func (r *relayState) refresh(mask []bool) error {
-	if r.mask != nil && sameMask(r.mask, mask) {
+// aim points the routing table at mask when it is not already.
+func (r *relayState) aim(mask []bool) error {
+	if r.aimed && sameMask(r.mask, mask) {
 		return nil
 	}
 	r.mask = append(r.mask[:0], mask...)
-	r.keep = append(r.keep[:0], mask...)
-	r.keep[r.base] = true // the base station survives
-	if r.routing == nil {
-		routing, err := r.full.NewRouting(r.base, r.keep)
-		if err != nil {
-			return err
-		}
-		r.routing = routing
-		return nil
+	var alive []bool
+	if mask != nil {
+		r.keep = append(r.keep[:0], mask...)
+		r.keep[r.base] = true // the base station survives
+		alive = r.keep
 	}
-	return r.routing.Reset(r.keep)
+	if !r.aimed {
+		r.aimed = true
+		return r.routing.Rebuild(&r.net, r.base, alive)
+	}
+	return r.routing.Reset(alive)
 }
 
 func sameMask(a, b []bool) bool {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -40,6 +41,35 @@ func TestGoldenFalseAlarmCampaigns(t *testing.T) {
 			if v.got != v.want && !(math.IsNaN(v.got) && math.IsNaN(v.want)) {
 				t.Errorf("gated=%v: %s = %.17g, want exactly %.17g", tc.gated, v.name, v.got, v.want)
 			}
+		}
+	}
+}
+
+// TestGoldenRelayTrials pins the end-to-end pipeline's relay hop counts
+// from a dense to a partitioned network. The values were recorded before
+// the network was built lazily and must stay exact.
+func TestGoldenRelayTrials(t *testing.T) {
+	for _, tc := range []struct {
+		n         int
+		commRange float64
+		want      string
+	}{
+		{240, 6000, "0.95999999999999996 1 0"},
+		{180, 6000, "0.91666666666666663 1 0"},
+		{120, 2500, "0.063333333333333339 0.089086859688195991 0.09166666666666666"},
+	} {
+		cfg := baseConfig()
+		cfg.Params.N = tc.n
+		cfg.CommRange = tc.commRange
+		cfg.Trials = 300
+		cfg.Workers = 2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%.17g %.17g %.17g", res.DetectionProb, res.DeliveredFrac, res.MeanDeliveryPeriods)
+		if got != tc.want {
+			t.Errorf("N=%d range %v: got %q, want exactly %q", tc.n, tc.commRange, got, tc.want)
 		}
 	}
 }
