@@ -242,3 +242,31 @@ func TestSimulateRateDeterministic(t *testing.T) {
 		t.Errorf("same seed gave %v then %v", a, b)
 	}
 }
+
+// TestSimulateRatePins pins SimulateRate's exact rates, gated and
+// ungated, so a change to how trials draw their streams cannot move them
+// unnoticed.
+func TestSimulateRatePins(t *testing.T) {
+	m := Model{N: 120, Pf: 3e-3, M: 20}
+	opt := testSimOpts()
+	opt.Trials = 300
+	for _, tc := range []struct {
+		k     int
+		gated bool
+		want  float64
+	}{
+		{12, false, 0.33333333333333331},
+		{14, false, 0.13333333333333333},
+		{4, true, 0.23666666666666666},
+		{3, true, 0.85333333333333339},
+	} {
+		opt.Gated = tc.gated
+		got, err := SimulateRate(m, tc.k, 60, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("k=%d gated=%v: rate = %.17g, want exactly %.17g", tc.k, tc.gated, got, tc.want)
+		}
+	}
+}

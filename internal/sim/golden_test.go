@@ -9,6 +9,7 @@ import (
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/field"
+	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/sim"
 	"github.com/groupdetect/gbd/internal/target"
@@ -305,6 +306,79 @@ func TestGoldenRelayClasses(t *testing.T) {
 			f.Generated, f.Delivered, f.Late, f.Lost, f.Rerouted, f.MeanAliveFrac)
 		if got != tc.want {
 			t.Errorf("%s: got %q, want exactly %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGoldenFaultModels pins the fault-injection campaigns the goldens
+// above leave open: the campaign's faulty class (Bernoulli dead sensors
+// on the flat lossy uplink) under both schemes, a mid-mission Blob on the
+// relay network, and a Compose of a battery hazard with a Blob. Each pin
+// carries DetectionProb, every FaultStats counter and the MeanAliveFrac
+// bits. The values were recorded before the fault models returned one
+// death period per sensor and must stay exact.
+func TestGoldenFaultModels(t *testing.T) {
+	relay := netsim.LossModel{PerHopDelivery: 0.9, MaxRetries: 2, PerHop: 10 * time.Second, Backoff: 5 * time.Second}
+	for _, tc := range []struct {
+		name      string
+		n         int
+		rng       field.RNGScheme
+		faults    faults.Model
+		pDeliver  float64
+		commRange float64
+		want      string
+	}{
+		{"faulty uplink legacy", 180, field.SchemeLegacy, faults.Bernoulli{DeadFrac: 0.2}, 0.9, 0, "0.81499999999999995 10.005000000000001 2246/2001/0/245/0 0.80080555555555577"},
+		{"faulty uplink philox", 180, field.SchemePhilox, faults.Bernoulli{DeadFrac: 0.2}, 0.9, 0, "0.80000000000000004 9.4250000000000007 2117/1885/0/232/0 0.79994444444444457"},
+		{"blob relay legacy", 180, field.SchemeLegacy, faults.Blob{Radius: 9000, At: 6}, 0, 6000, "0.80500000000000005 11.42 2401/2212/72/117/139 0.85508333333333331"},
+		{"blob uplink philox", 150, field.SchemePhilox, faults.Blob{Radius: 7000}, 0.9, 0, "0.77000000000000002 8.9450000000000003 2007/1789/0/218/0 0.87683333333333291"},
+		{"lifetime+blob relay philox", 180, field.SchemePhilox,
+			faults.Compose{faults.Lifetime{Hazard: 0.02, InitialDeadFrac: 0.1}, faults.Blob{Radius: 8000, At: 9}}, 0, 6000, "0.73999999999999999 9.4100000000000001 1919/1826/56/37/58 0.66867638888888881"},
+		{"lifetime+blob uplink legacy", 150, field.SchemeLegacy,
+			faults.Compose{faults.Lifetime{Hazard: 0.03}, faults.Blob{Radius: 6000, At: 4}}, 0.9, 0, "0.71499999999999997 7.2149999999999999 1609/1443/0/166/0 0.67984333333333324"},
+	} {
+		p := detect.Defaults()
+		p.N = tc.n
+		res, err := sim.Run(sim.Config{
+			Params: p, Trials: 200, Seed: 13, Workers: 2, RNG: tc.rng,
+			Faults: tc.faults, PDeliver: tc.pDeliver, CommRange: tc.commRange, Loss: relay,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Faults
+		got := fmt.Sprintf("%.17g %.17g %d/%d/%d/%d/%d %.17g", res.DetectionProb, res.MeanReports,
+			f.Generated, f.Delivered, f.Late, f.Lost, f.Rerouted, f.MeanAliveFrac)
+		if got != tc.want {
+			t.Errorf("%s: got %q, want exactly %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestGoldenInferCampaign pins an Infer+Beacons campaign under both
+// schemes, with permanent deaths before and during the mission, through
+// every InferStats field and the MeanAliveFrac bits. The values were
+// recorded before the fault models returned one death period per sensor
+// and must stay exact.
+func TestGoldenInferCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		rng  field.RNGScheme
+		want string
+	}{
+		{field.SchemeLegacy, "0.60833333333333328 {Sensors:14400 Periods:288000 Final:{TP:3704 FP:61 FN:122 TN:10513} PerPeriod:{TP:50006 FP:1306 FN:4830 TN:231858} Declarations:4880 Retractions:1115 TTDSum:8370 TTDCount:3693 InferredDead:3765 TruthDead:3826 Generated:234061 Delivered:210817} 0.80959722222222197"},
+		{field.SchemePhilox, "0.64166666666666672 {Sensors:14400 Periods:288000 Final:{TP:3630 FP:69 FN:131 TN:10570} PerPeriod:{TP:49712 FP:1376 FN:4692 TN:232220} Declarations:4873 Retractions:1174 TTDSum:8144 TTDCount:3617 InferredDead:3699 TruthDead:3761 Generated:234493 Delivered:211227} 0.81109722222222258"},
+	} {
+		res, err := sim.Run(sim.Config{
+			Params: detect.Defaults(), Trials: 120, Seed: 42, Workers: 2, RNG: tc.rng,
+			Faults:   faults.Compose{faults.Bernoulli{DeadFrac: 0.1}, faults.Lifetime{Hazard: 0.01}},
+			PDeliver: 0.9, Beacons: true, Infer: &infer.Options{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%.17g %+v %.17g", res.DetectionProb, *res.Infer, res.Faults.MeanAliveFrac)
+		if got != tc.want {
+			t.Errorf("%v: got %q, want exactly %q", tc.rng, got, tc.want)
 		}
 	}
 }
