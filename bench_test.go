@@ -127,8 +127,10 @@ func BenchmarkSimulationSingleTrial(b *testing.B) {
 }
 
 // BenchmarkSimulationSingleTrialLegacy is the same trial under the default
-// legacy scheme, whose ~9 µs rand.Rand.Seed reseed dominates; kept as the
-// before/after contrast and to catch regressions in the compatibility path.
+// legacy scheme, which runs the scalar kernel and reseeds the lagged-
+// Fibonacci source per trial (internal/field's BenchmarkLegacyReseed
+// measures that reseed alone); kept as the scheme contrast and to catch
+// regressions in the compatibility path.
 func BenchmarkSimulationSingleTrialLegacy(b *testing.B) {
 	cfg := sim.Config{Params: detect.Defaults(), Trials: 1, Workers: 1}
 	b.ReportAllocs()
@@ -536,6 +538,30 @@ func BenchmarkFaultyTrial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunTrial(cfg, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFaultyUplinkTrial measures one trial in the campaign's faulty
+// configuration: N=180 sensors, 20% Bernoulli node death and a flat
+// single-hop uplink delivering each report with probability 0.9, under
+// the philox scheme.
+func BenchmarkFaultyUplinkTrial(b *testing.B) {
+	p := detect.Defaults()
+	p.N = 180
+	cfg := sim.Config{
+		Params:   p,
+		Trials:   1,
+		Workers:  1,
+		RNG:      field.SchemePhilox,
+		Faults:   faults.Bernoulli{DeadFrac: 0.2},
+		PDeliver: 0.9,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i)
+		if _, err := sim.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

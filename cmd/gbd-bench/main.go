@@ -199,7 +199,7 @@ func compareBaseline(path string, results []Result) error {
 // benchSimulationSingleTrial measures the per-trial cost under the
 // counter-based philox scheme — the PR-7 headline the -compare gate
 // tracks. benchSimulationSingleTrialLegacy keeps the default scheme's
-// reseed-dominated floor visible as the before/after contrast.
+// scalar-kernel cost, per-trial reseed included, visible as the contrast.
 func benchSimulationSingleTrial(b *testing.B) {
 	cfg := sim.Config{Params: detect.Defaults(), Trials: 1, Workers: 1, RNG: field.SchemePhilox}
 	b.ReportAllocs()

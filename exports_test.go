@@ -38,7 +38,6 @@ var knownUnused = map[string]bool{
 	"internal/dist.ConvolveAll":                true,
 	"internal/dist.MaxAbsDiff":                 true,
 	"internal/dist.New":                        true,
-	"internal/faults.MeanAliveFraction":        true,
 	"internal/field.Grid":                      true,
 	"internal/field.NewPhilox":                 true,
 	"internal/geom.(DRGeometry).CoverPeriods":  true,

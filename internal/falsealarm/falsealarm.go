@@ -137,9 +137,11 @@ func SimulateRate(m Model, k, horizon int, opt SimOptions) (float64, error) {
 		return 0, err
 	}
 	triggered := 0
+	stream := field.NewStream()
+	var sensors []geom.Point
 	for trial := 0; trial < opt.Trials; trial++ {
-		rng := field.NewRand(field.DeriveSeed(opt.Seed, int64(trial)))
-		sensors, err := field.Uniform(m.N, geom.Square(opt.FieldSide), rng)
+		rng := stream.At(field.SchemeLegacy, opt.Seed, int64(trial))
+		sensors, err = stream.AppendUniform(sensors[:0], m.N, geom.Square(opt.FieldSide))
 		if err != nil {
 			return 0, err
 		}

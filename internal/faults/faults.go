@@ -2,11 +2,12 @@
 // every deployed sensor stays alive for the whole mission; real sparse
 // deployments lose nodes to battery exhaustion, hardware death and localized
 // events (jamming, flooding). Each model here turns a deployment into a
-// deterministic, seedable per-period alive mask that the simulator and the
-// network layer consume: a dead sensor neither senses nor relays.
+// deterministic, seedable death column — the first period each node is
+// dead in — that the simulator and the network layer consume: a dead
+// sensor neither senses nor relays.
 //
 // All models are permanent-death models: once a node dies it stays dead, so
-// masks are monotone non-increasing over time.
+// one death period per node describes the whole mission.
 package faults
 
 import (
@@ -21,13 +22,15 @@ import (
 // ErrModel reports an invalid failure model.
 var ErrModel = errors.New("faults: invalid failure model")
 
-// Model produces alive masks for a deployment.
+// Model draws when each node of a deployment dies.
 type Model interface {
-	// Masks returns alive[t][i], whether node i is alive during sensing
-	// period t+1, for t = 0..periods-1. bounds is the deployment field
-	// (used by spatially correlated models); rng supplies the randomness,
-	// so a model is deterministic per (deployment, rng state).
-	Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error)
+	// Deaths returns, in dst resized to len(nodes), the death column of a
+	// mission of periods sensing periods: node i is dead in period t
+	// (1-based) exactly when t >= deaths[i], and deaths[i] == periods+1
+	// means it survives the mission. bounds is the deployment field (used
+	// by spatially correlated models); rng supplies the randomness, so a
+	// model is deterministic per (deployment, rng state).
+	Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error)
 }
 
 func checkPeriods(periods int) error {
@@ -37,26 +40,28 @@ func checkPeriods(periods int) error {
 	return nil
 }
 
-func allAlive(nodes, periods int) [][]bool {
-	masks := make([][]bool, periods)
-	for t := range masks {
-		masks[t] = make([]bool, nodes)
-		for i := range masks[t] {
-			masks[t][i] = true
-		}
+// survivors returns dst resized to n with every node surviving a mission
+// of periods.
+func survivors(dst []int, n, periods int) []int {
+	if cap(dst) < n {
+		dst = make([]int, n)
 	}
-	return masks
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = periods + 1
+	}
+	return dst
 }
 
 // None is the paper's assumption: every node alive for the whole mission.
 type None struct{}
 
-// Masks implements Model.
-func (None) Masks(nodes []geom.Point, _ geom.Rect, periods int, _ *rand.Rand) ([][]bool, error) {
+// Deaths implements Model.
+func (None) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, _ *rand.Rand) ([]int, error) {
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	return allAlive(len(nodes), periods), nil
+	return survivors(dst, len(nodes), periods), nil
 }
 
 // Bernoulli kills each node independently with probability DeadFrac before
@@ -68,23 +73,21 @@ type Bernoulli struct {
 	DeadFrac float64
 }
 
-// Masks implements Model.
-func (b Bernoulli) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model.
+func (b Bernoulli) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if b.DeadFrac < 0 || b.DeadFrac > 1 || math.IsNaN(b.DeadFrac) {
 		return nil, fmt.Errorf("dead fraction %v must be in [0, 1]: %w", b.DeadFrac, ErrModel)
 	}
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	alive := make([]bool, len(nodes))
-	for i := range alive {
-		alive[i] = rng.Float64() >= b.DeadFrac
+	dst = survivors(dst, len(nodes), periods)
+	for i := range dst {
+		if rng.Float64() < b.DeadFrac {
+			dst[i] = 1
+		}
 	}
-	masks := make([][]bool, periods)
-	for t := range masks {
-		masks[t] = append([]bool(nil), alive...)
-	}
-	return masks, nil
+	return dst, nil
 }
 
 // Lifetime is a per-period battery/hardware hazard: each node alive at the
@@ -99,8 +102,9 @@ type Lifetime struct {
 	InitialDeadFrac float64
 }
 
-// Masks implements Model.
-func (l Lifetime) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model. The draws run period by period, one per node
+// still alive: the initial kills first, then each period's hazard.
+func (l Lifetime) Deaths(dst []int, nodes []geom.Point, _ geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if l.Hazard < 0 || l.Hazard > 1 || math.IsNaN(l.Hazard) {
 		return nil, fmt.Errorf("hazard %v must be in [0, 1]: %w", l.Hazard, ErrModel)
 	}
@@ -110,20 +114,20 @@ func (l Lifetime) Masks(nodes []geom.Point, _ geom.Rect, periods int, rng *rand.
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	alive := make([]bool, len(nodes))
-	for i := range alive {
-		alive[i] = rng.Float64() >= l.InitialDeadFrac
+	dst = survivors(dst, len(nodes), periods)
+	for i := range dst {
+		if rng.Float64() < l.InitialDeadFrac {
+			dst[i] = 1
+		}
 	}
-	masks := make([][]bool, periods)
-	for t := range masks {
-		for i := range alive {
-			if alive[i] && rng.Float64() < l.Hazard {
-				alive[i] = false
+	for t := 1; t <= periods; t++ {
+		for i, d := range dst {
+			if d > periods && rng.Float64() < l.Hazard {
+				dst[i] = t
 			}
 		}
-		masks[t] = append([]bool(nil), alive...)
 	}
-	return masks, nil
+	return dst, nil
 }
 
 // Blob is a spatially correlated failure: at period At, every node within
@@ -140,8 +144,9 @@ type Blob struct {
 	Center *geom.Point
 }
 
-// Masks implements Model.
-func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model. The center is drawn even when Center is set,
+// so fixing it does not shift the draws that follow.
+func (b Blob) Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if !(b.Radius > 0) || math.IsInf(b.Radius, 0) {
 		return nil, fmt.Errorf("blob radius %v must be positive and finite: %w", b.Radius, ErrModel)
 	}
@@ -151,10 +156,7 @@ func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand
 	if err := checkPeriods(periods); err != nil {
 		return nil, err
 	}
-	at := b.At
-	if at == 0 {
-		at = 1
-	}
+	at := max(b.At, 1)
 	center := geom.Point{
 		X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
 		Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
@@ -162,69 +164,42 @@ func (b Blob) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand
 	if b.Center != nil {
 		center = *b.Center
 	}
-	masks := allAlive(len(nodes), periods)
+	dst = survivors(dst, len(nodes), periods)
+	if at > periods {
+		return dst, nil
+	}
 	r2 := b.Radius * b.Radius
-	for t := at - 1; t < periods; t++ {
-		for i, p := range nodes {
-			if p.Dist2(center) <= r2 {
-				masks[t][i] = false
-			}
+	for i, p := range nodes {
+		if p.Dist2(center) <= r2 {
+			dst[i] = at
 		}
 	}
-	return masks, nil
+	return dst, nil
 }
 
 // Compose overlays several failure models: a node is alive only when alive
-// under every component. Use it to combine, say, a battery hazard with a
-// mid-mission jamming blob.
+// under every component, so it dies at the earliest of its component
+// deaths. Each component draws in turn, as if alone. Use it to combine,
+// say, a battery hazard with a mid-mission jamming blob.
 type Compose []Model
 
-// Masks implements Model.
-func (c Compose) Masks(nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+// Deaths implements Model.
+func (c Compose) Deaths(dst []int, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([]int, error) {
 	if len(c) == 0 {
 		return nil, fmt.Errorf("empty composition: %w", ErrModel)
 	}
-	out, err := c[0].Masks(nodes, bounds, periods, rng)
+	dst, err := c[0].Deaths(dst, nodes, bounds, periods, rng)
 	if err != nil {
 		return nil, err
 	}
+	var next []int
 	for _, m := range c[1:] {
-		next, err := m.Masks(nodes, bounds, periods, rng)
-		if err != nil {
+		if next, err = m.Deaths(next, nodes, bounds, periods, rng); err != nil {
 			return nil, err
 		}
-		for t := range out {
-			for i := range out[t] {
-				out[t][i] = out[t][i] && next[t][i]
-			}
+		for i, d := range next {
+			dst[i] = min(dst[i], d)
 		}
 	}
-	return out, nil
-}
-
-// AliveFraction returns the fraction of true entries in a mask (1 for an
-// empty mask, matching a zero-sensor deployment having nothing to lose).
-func AliveFraction(mask []bool) float64 {
-	if len(mask) == 0 {
-		return 1
-	}
-	alive := 0
-	for _, a := range mask {
-		if a {
-			alive++
-		}
-	}
-	return float64(alive) / float64(len(mask))
-}
-
-// MeanAliveFraction averages AliveFraction over all periods of a mask set.
-func MeanAliveFraction(masks [][]bool) float64 {
-	if len(masks) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, m := range masks {
-		sum += AliveFraction(m)
-	}
-	return sum / float64(len(masks))
+	return dst, nil
 }

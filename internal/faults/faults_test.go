@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/groupdetect/gbd/internal/field"
@@ -20,7 +21,7 @@ func deployment(t *testing.T, n int, bounds geom.Rect, seed int64) []geom.Point 
 func TestNoneKeepsEveryoneAlive(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 50, bounds, 1)
-	masks, err := None{}.Masks(nodes, bounds, 5, field.NewRand(2))
+	masks, err := expand(None{}, nodes, bounds, 5, field.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestNoneKeepsEveryoneAlive(t *testing.T) {
 func TestBernoulliDeadFraction(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 5000, bounds, 3)
-	masks, err := Bernoulli{DeadFrac: 0.3}.Masks(nodes, bounds, 4, field.NewRand(4))
+	masks, err := expand(Bernoulli{DeadFrac: 0.3}, nodes, bounds, 4, field.NewRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,10 @@ func TestBernoulliDeadFraction(t *testing.T) {
 func TestBernoulliValidation(t *testing.T) {
 	bounds := geom.Square(100)
 	nodes := deployment(t, 3, bounds, 5)
-	if _, err := (Bernoulli{DeadFrac: 1.5}).Masks(nodes, bounds, 3, field.NewRand(1)); err == nil {
+	if _, err := expand(Bernoulli{DeadFrac: 1.5}, nodes, bounds, 3, field.NewRand(1)); err == nil {
 		t.Error("dead fraction > 1 should fail")
 	}
-	if _, err := (Bernoulli{DeadFrac: 0.5}).Masks(nodes, bounds, 0, field.NewRand(1)); err == nil {
+	if _, err := expand(Bernoulli{DeadFrac: 0.5}, nodes, bounds, 0, field.NewRand(1)); err == nil {
 		t.Error("zero periods should fail")
 	}
 }
@@ -70,7 +71,7 @@ func TestLifetimeMonotoneAndGeometric(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 4000, bounds, 6)
 	const hazard = 0.1
-	masks, err := Lifetime{Hazard: hazard}.Masks(nodes, bounds, 10, field.NewRand(7))
+	masks, err := expand(Lifetime{Hazard: hazard}, nodes, bounds, 10, field.NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestBlobKillsDiskFromEventPeriod(t *testing.T) {
 		}
 	}
 	center := geom.Point{X: 500, Y: 500}
-	masks, err := Blob{Radius: 450, At: 3, Center: &center}.Masks(nodes, bounds, 5, field.NewRand(8))
+	masks, err := expand(Blob{Radius: 450, At: 3, Center: &center}, nodes, bounds, 5, field.NewRand(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestBlobKillsDiskFromEventPeriod(t *testing.T) {
 func TestBlobRandomCenterDeterministicPerSeed(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 200, bounds, 9)
-	a, err := Blob{Radius: 300}.Masks(nodes, bounds, 4, field.NewRand(10))
+	a, err := expand(Blob{Radius: 300}, nodes, bounds, 4, field.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Blob{Radius: 300}.Masks(nodes, bounds, 4, field.NewRand(10))
+	b, err := expand(Blob{Radius: 300}, nodes, bounds, 4, field.NewRand(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestComposeIntersects(t *testing.T) {
 	bounds := geom.Square(1000)
 	nodes := deployment(t, 2000, bounds, 11)
 	model := Compose{Bernoulli{DeadFrac: 0.2}, Bernoulli{DeadFrac: 0.2}}
-	masks, err := model.Masks(nodes, bounds, 3, field.NewRand(12))
+	masks, err := expand(model, nodes, bounds, 3, field.NewRand(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestComposeIntersects(t *testing.T) {
 	if math.Abs(got-0.64) > 0.04 {
 		t.Errorf("composed alive fraction %v, want ~0.64", got)
 	}
-	if _, err := (Compose{}).Masks(nodes, bounds, 3, field.NewRand(1)); err == nil {
+	if _, err := expand(Compose{}, nodes, bounds, 3, field.NewRand(1)); err == nil {
 		t.Error("empty composition should fail")
 	}
 }
@@ -165,8 +166,182 @@ func TestAliveFractionHelpers(t *testing.T) {
 	if got := AliveFraction([]bool{true, false, true, false}); got != 0.5 {
 		t.Errorf("alive fraction %v, want 0.5", got)
 	}
-	masks := [][]bool{{true, true}, {true, false}}
-	if got := MeanAliveFraction(masks); got != 0.75 {
-		t.Errorf("mean alive fraction %v, want 0.75", got)
+}
+
+// expand turns a model's death column into per-period alive masks,
+// alive[t][i] for period t+1, the shape the tests above assert on.
+func expand(m Model, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) ([][]bool, error) {
+	deaths, err := m.Deaths(nil, nodes, bounds, periods, rng)
+	if err != nil {
+		return nil, err
+	}
+	masks := make([][]bool, periods)
+	for t := range masks {
+		masks[t] = make([]bool, len(nodes))
+		for i, d := range deaths {
+			masks[t][i] = t+1 < d
+		}
+	}
+	return masks, nil
+}
+
+// AliveFraction returns the fraction of true entries in a mask (1 for an
+// empty mask, matching a zero-sensor deployment having nothing to lose).
+// It is the oracle for the simulator's running alive count.
+func AliveFraction(mask []bool) float64 {
+	if len(mask) == 0 {
+		return 1
+	}
+	alive := 0
+	for _, a := range mask {
+		if a {
+			alive++
+		}
+	}
+	return float64(alive) / float64(len(mask))
+}
+
+// oracleMasks is the per-period mask builder the death columns replaced:
+// every model drew its randomness in this order and materialized one
+// alive mask per period. It is kept as the test oracle for Deaths.
+func oracleMasks(t *testing.T, m Model, nodes []geom.Point, bounds geom.Rect, periods int, rng *rand.Rand) [][]bool {
+	t.Helper()
+	alive := make([]bool, len(nodes))
+	snapshot := func() [][]bool {
+		masks := make([][]bool, periods)
+		for p := range masks {
+			masks[p] = append([]bool(nil), alive...)
+		}
+		return masks
+	}
+	switch m := m.(type) {
+	case None:
+		for i := range alive {
+			alive[i] = true
+		}
+		return snapshot()
+	case Bernoulli:
+		for i := range alive {
+			alive[i] = rng.Float64() >= m.DeadFrac
+		}
+		return snapshot()
+	case Lifetime:
+		for i := range alive {
+			alive[i] = rng.Float64() >= m.InitialDeadFrac
+		}
+		masks := make([][]bool, periods)
+		for p := range masks {
+			for i := range alive {
+				if alive[i] && rng.Float64() < m.Hazard {
+					alive[i] = false
+				}
+			}
+			masks[p] = append([]bool(nil), alive...)
+		}
+		return masks
+	case Blob:
+		at := max(m.At, 1)
+		center := geom.Point{
+			X: bounds.MinX + rng.Float64()*(bounds.MaxX-bounds.MinX),
+			Y: bounds.MinY + rng.Float64()*(bounds.MaxY-bounds.MinY),
+		}
+		if m.Center != nil {
+			center = *m.Center
+		}
+		for i := range alive {
+			alive[i] = true
+		}
+		masks := snapshot()
+		for p := at - 1; p < periods; p++ {
+			for i, pt := range nodes {
+				if pt.Dist2(center) <= m.Radius*m.Radius {
+					masks[p][i] = false
+				}
+			}
+		}
+		return masks
+	case Compose:
+		out := oracleMasks(t, m[0], nodes, bounds, periods, rng)
+		for _, c := range m[1:] {
+			next := oracleMasks(t, c, nodes, bounds, periods, rng)
+			for p := range out {
+				for i := range out[p] {
+					out[p][i] = out[p][i] && next[p][i]
+				}
+			}
+		}
+		return out
+	}
+	t.Fatalf("no oracle for %T", m)
+	return nil
+}
+
+// countingSource counts the draws a model takes from its rng.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.Source.Int63()
+}
+
+// TestDeathsMatchOracleMasks checks every model's death column against
+// the old mask builder, period by period, and that both take the same
+// number of draws, so the draws after them line up too. The running
+// alive fraction the simulator keeps must equal AliveFraction's.
+func TestDeathsMatchOracleMasks(t *testing.T) {
+	bounds := geom.Square(1000)
+	center := geom.Point{X: 300, Y: 600}
+	models := []Model{
+		None{},
+		Bernoulli{DeadFrac: 0.3},
+		Bernoulli{DeadFrac: 1},
+		Lifetime{Hazard: 0.1},
+		Lifetime{Hazard: 0.05, InitialDeadFrac: 0.2},
+		Blob{Radius: 300},
+		Blob{Radius: 250, At: 4},
+		Blob{Radius: 400, At: 9}, // strikes after the mission
+		Blob{Radius: 350, At: 2, Center: &center},
+		Compose{Lifetime{Hazard: 0.05}, Blob{Radius: 300, At: 3}},
+		Compose{Bernoulli{DeadFrac: 0.2}, Lifetime{Hazard: 0.08, InitialDeadFrac: 0.1}, Blob{Radius: 200}},
+	}
+	const periods = 8
+	for seed := int64(1); seed <= 5; seed++ {
+		nodes := deployment(t, 300, bounds, seed)
+		dst := []int{-1} // a reused column must be resized and overwritten
+		for _, m := range models {
+			oracleSrc := &countingSource{Source: rand.NewSource(seed)}
+			want := oracleMasks(t, m, nodes, bounds, periods, rand.New(oracleSrc))
+			src := &countingSource{Source: rand.NewSource(seed)}
+			var err error
+			if dst, err = m.Deaths(dst, nodes, bounds, periods, rand.New(src)); err != nil {
+				t.Fatal(err)
+			}
+			if src.draws != oracleSrc.draws {
+				t.Errorf("%T%+v seed %d: %d draws, oracle took %d", m, m, seed, src.draws, oracleSrc.draws)
+			}
+			if len(dst) != len(nodes) {
+				t.Fatalf("%T%+v: death column covers %d of %d nodes", m, m, len(dst), len(nodes))
+			}
+			alive := len(nodes)
+			for p := 1; p <= periods; p++ {
+				for i, d := range dst {
+					if d < 1 || d > periods+1 {
+						t.Fatalf("%T%+v: node %d death period %d outside [1, %d]", m, m, i, d, periods+1)
+					}
+					if d == p {
+						alive--
+					}
+					if got := d > p; got != want[p-1][i] {
+						t.Fatalf("%T%+v seed %d: node %d alive in period %d = %v, oracle %v", m, m, seed, i, p, got, want[p-1][i])
+					}
+				}
+				if got := float64(alive) / float64(len(nodes)); got != AliveFraction(want[p-1]) {
+					t.Errorf("%T%+v period %d: running alive fraction %v, oracle %v", m, m, p, got, AliveFraction(want[p-1]))
+				}
+			}
+		}
 	}
 }

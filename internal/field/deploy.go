@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"github.com/groupdetect/gbd/internal/geom"
 )
@@ -14,43 +13,41 @@ import (
 var ErrDeploy = errors.New("field: invalid deployment")
 
 // Uniform places n sensors independently and uniformly at random in bounds —
-// the deployment model the paper assumes (Section 2).
+// the deployment model the paper assumes (Section 2). It draws X then Y per
+// sensor; Stream.AppendUniform draws the same way.
 func Uniform(n int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	return AppendUniform(make([]geom.Point, 0, max(n, 0)), n, bounds, rng)
-}
-
-// AppendUniform is Uniform appending the n sensors to dst (grown as
-// needed), so a simulation loop can redeploy, class after class, without
-// allocating. The draws are identical to Uniform's: X then Y per sensor.
-func AppendUniform(dst []geom.Point, n int, bounds geom.Rect, rng *rand.Rand) ([]geom.Point, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("n = %d: %w", n, ErrDeploy)
+	if err := checkDeploy(n, bounds); err != nil {
+		return nil, err
 	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
-	}
-	off := len(dst)
-	dst = slices.Grow(dst, n)[:off+n]
+	pts := make([]geom.Point, n)
 	w := bounds.MaxX - bounds.MinX
 	h := bounds.MaxY - bounds.MinY
-	for i := off; i < len(dst); i++ {
-		dst[i] = geom.Point{
+	for i := range pts {
+		pts[i] = geom.Point{
 			X: bounds.MinX + rng.Float64()*w,
 			Y: bounds.MinY + rng.Float64()*h,
 		}
 	}
-	return dst, nil
+	return pts, nil
+}
+
+// checkDeploy validates a deployment's sensor count and field.
+func checkDeploy(n int, bounds geom.Rect) error {
+	if n < 0 {
+		return fmt.Errorf("n = %d: %w", n, ErrDeploy)
+	}
+	if bounds.Area() <= 0 {
+		return fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
+	}
+	return nil
 }
 
 // Grid places n sensors on the most-square grid that fits bounds, row-major,
 // centered in their cells. Used as a deterministic contrast deployment in
 // examples and coverage studies.
 func Grid(n int, bounds geom.Rect) ([]geom.Point, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("n = %d: %w", n, ErrDeploy)
-	}
-	if bounds.Area() <= 0 {
-		return nil, fmt.Errorf("empty bounds %+v: %w", bounds, ErrDeploy)
+	if err := checkDeploy(n, bounds); err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return nil, nil

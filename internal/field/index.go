@@ -134,8 +134,12 @@ func (idx *Index) reindex(bounds geom.Rect, cellSize float64) {
 		idx.cellOf[i] = int32(c)
 		idx.cellStart[c+1]++
 	}
-	for c := 0; c < nCells; c++ {
-		idx.cellStart[c+1] += idx.cellStart[c]
+	// The running sum stays in a register: accumulating through the array
+	// would chain every cell's store into the next cell's load.
+	sum, counts := int32(0), idx.cellStart[1:]
+	for c, cnt := range counts {
+		sum += cnt
+		counts[c] = sum
 	}
 	for i := range idx.points {
 		c := idx.cellOf[i]

@@ -6,8 +6,8 @@ package field
 // campaign seed, counter high half = the trial index, counter low half =
 // the block index within the trial. Any trial's stream is therefore
 // computable in O(1) with zero heap state — pointing a pooled scratch at
-// a new trial resets two words instead of running the ~1 KiB lagged-
-// Fibonacci reseed that rand.Rand.Seed performs.
+// a new trial resets two words instead of refilling the 4.7 KiB
+// lagged-Fibonacci register that a legacy reseed rewrites.
 
 // Philox round constants: the two multipliers and the Weyl key schedule
 // increments from the reference Random123 implementation.

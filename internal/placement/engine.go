@@ -416,7 +416,7 @@ func (e *engine) uniformBaseline(ctx context.Context) (int, error) {
 		deployed := pos[w][:0]
 		for _, c := range e.cfg.Classes {
 			var err error
-			if deployed, err = field.AppendUniform(deployed, c.Count, e.bounds, rng); err != nil {
+			if deployed, err = st.AppendUniform(deployed, c.Count, e.bounds); err != nil {
 				return err
 			}
 		}

@@ -138,7 +138,7 @@ func multiTrial(cfg Config, minSep float64, part *multiPartial, trial int) error
 	defer scratchPool.Put(scratch)
 	rng := scratch.stream.At(cfg.RNG, cfg.Seed, int64(trial))
 	bounds := geom.Square(p.FieldSide)
-	if err := scratch.deploy(cfg.fleet(), bounds, rng); err != nil {
+	if err := scratch.deploy(cfg.fleet(), bounds); err != nil {
 		return err
 	}
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sync"
 
 	"github.com/groupdetect/gbd/internal/detect"
@@ -25,6 +24,9 @@ type trialScratch struct {
 	relay     relayState    // the relay network when CommRange is set
 	perPeriod []int         // per-period report arrivals, 1-based
 	buf       []int         // spatial-query result buffer
+	deaths    []int         // per-sensor death period under a fault model
+	dying     []int         // per-period death counts, 1-based
+	mask      []bool        // per-sensor alive mask of the current period
 }
 
 var scratchPool = sync.Pool{
@@ -41,9 +43,10 @@ func getScratch() *trialScratch {
 	return scratchPool.Get().(*trialScratch)
 }
 
-// deploy draws the fleet class by class into s.sensors, class c's ids
-// following class c-1's, and indexes each class on its own grid.
-func (s *trialScratch) deploy(fleet []detect.SensorClass, bounds geom.Rect, rng *rand.Rand) error {
+// deploy draws the fleet class by class into s.sensors from the stream
+// s.stream was last positioned at, class c's ids following class c-1's,
+// and indexes each class on its own grid.
+func (s *trialScratch) deploy(fleet []detect.SensorClass, bounds geom.Rect) error {
 	if len(s.idx) < len(fleet) {
 		s.idx = make([]field.Index, len(fleet))
 	}
@@ -51,7 +54,7 @@ func (s *trialScratch) deploy(fleet []detect.SensorClass, bounds geom.Rect, rng 
 	for c, cl := range fleet {
 		off := len(s.sensors)
 		var err error
-		if s.sensors, err = field.AppendUniform(s.sensors, cl.Count, bounds, rng); err != nil {
+		if s.sensors, err = s.stream.AppendUniform(s.sensors, cl.Count, bounds); err != nil {
 			return err
 		}
 		if err := s.idx[c].Rebuild(s.sensors[off:], bounds, field.CellSize(cl.Rs, bounds.MaxX-bounds.MinX)); err != nil {
@@ -70,6 +73,19 @@ func ints(s []int, n int) []int {
 	s = s[:n]
 	for i := range s {
 		s[i] = 0
+	}
+	return s
+}
+
+// bools returns s resized to n and set all true, reusing the backing
+// array when it is large enough.
+func bools(s []bool, n int) []bool {
+	if cap(s) < n {
+		s = make([]bool, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = true
 	}
 	return s
 }

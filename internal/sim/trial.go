@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/faults"
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
@@ -23,7 +22,7 @@ import (
 //
 // fleet lists the deployed sensor classes; sensor ids run class by class.
 // All randomness flows through the one per-trial rng in a fixed order
-// (deployment class by class, fault masks, track, then per-period sensing
+// (deployment class by class, fault deaths, track, then per-period sensing
 // class by class and delivery), so results are independent of worker
 // scheduling.
 func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) (*TrialResult, error) {
@@ -37,7 +36,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	defer scratchPool.Put(scratch)
 	rng := scratch.stream.At(cfg.RNG, cfg.Seed, int64(trial))
 	bounds := geom.Square(p.FieldSide)
-	if err := scratch.deploy(fleet, bounds, rng); err != nil {
+	if err := scratch.deploy(fleet, bounds); err != nil {
 		return nil, err
 	}
 	sensors := scratch.sensors
@@ -55,22 +54,32 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 
 	mission := cfg.MissionPeriods
 
-	// Fault masks for the whole mission, drawn before the track so the
-	// rng order is stable regardless of the motion model.
-	var masks [][]bool
+	// Fault deaths for the whole mission, drawn before the track so the
+	// rng order is stable regardless of the motion model. A sensor is
+	// dead in period t when deaths[id] <= t. mask is the alive mask of
+	// the current period, updated only in periods where a death lands,
+	// and dying[t] counts the deaths landing in period t.
+	var deaths, dying []int
+	var mask []bool
+	alive := n
 	if cfg.Faults != nil {
-		masks, err = cfg.Faults.Masks(sensors, bounds, mission, rng)
-		if err != nil {
+		if deaths, err = cfg.Faults.Deaths(scratch.deaths, sensors, bounds, mission, rng); err != nil {
 			return nil, err
 		}
-		if len(masks) != mission {
-			return nil, fmt.Errorf("fault model returned %d masks for %d periods: %w", len(masks), mission, ErrConfig)
+		scratch.deaths = deaths
+		if len(deaths) != n {
+			return nil, fmt.Errorf("fault model returned deaths for %d of %d nodes: %w", len(deaths), n, ErrConfig)
 		}
-		for t, m := range masks {
-			if len(m) != n {
-				return nil, fmt.Errorf("fault mask %d covers %d of %d nodes: %w", t+1, len(m), n, ErrConfig)
+		dying = ints(scratch.dying, mission+2)
+		scratch.dying = dying
+		for id, d := range deaths {
+			if d < 1 || d > mission+1 {
+				return nil, fmt.Errorf("sensor %d death period %d outside [1, %d]: %w", id, d, mission+1, ErrConfig)
 			}
+			dying[d]++
 		}
+		mask = bools(scratch.mask, n)
+		scratch.mask = mask
 	}
 
 	// The communication substrate: a base station at the node nearest the
@@ -82,7 +91,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	uplink := cfg.PDeliver > 0 && cfg.PDeliver < 1
 	relay := &scratch.relay
 	if withDelivery {
-		if err := relay.rebuild(sensors, cfg.CommRange, bounds); err != nil {
+		if err := relay.rebuild(sensors, cfg.CommRange, bounds, mask); err != nil {
 			return nil, err
 		}
 	}
@@ -91,7 +100,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	// consumes no randomness — all its inputs are what the base station
 	// observed — so enabling it never perturbs the trial.
 	var eng *infer.Engine
-	var arrivedNow, allAlive []bool
+	var arrivedNow, truth []bool
 	var inferStats *InferStats
 	if cfg.Infer != nil {
 		eng, err = infer.New(n, *cfg.Infer)
@@ -100,11 +109,9 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		}
 		arrivedNow = make([]bool, n)
 		inferStats = &InferStats{}
-		if cfg.Faults == nil {
-			allAlive = make([]bool, n)
-			for i := range allAlive {
-				allAlive[i] = true
-			}
+		truth = mask
+		if truth == nil {
+			truth = bools(nil, n)
 		}
 	}
 
@@ -143,7 +150,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	// deliver routes one report generated in period through the network
 	// (or the flat uplink, or counts it directly when delivery modeling
 	// is off).
-	deliver := func(id, period int, mask []bool) error {
+	deliver := func(id, period int) error {
 		tr.Faults.Generated++
 		genNow++
 		if uplink {
@@ -168,7 +175,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 			}
 			return nil
 		}
-		d, err := relay.send(id, mask, cfg.Loss, rng)
+		d, err := relay.send(id, cfg.Loss, rng)
 		if err != nil {
 			return err
 		}
@@ -204,7 +211,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	// as reports. Beacons never count toward the K-of-M rule and are
 	// excluded from the FaultStats report accounting; they exist for the
 	// telemetry and the arrival vector.
-	beacon := func(id int, mask []bool) error {
+	beacon := func(id int) error {
 		genNow++
 		if uplink {
 			if rng.Float64() < cfg.PDeliver {
@@ -216,7 +223,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 			heard(id)
 			return nil
 		}
-		d, err := relay.send(id, mask, cfg.Loss, rng)
+		d, err := relay.send(id, cfg.Loss, rng)
 		if err != nil {
 			return err
 		}
@@ -232,10 +239,17 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		for i := range arrivedNow {
 			arrivedNow[i] = false
 		}
-		var mask []bool
-		if masks != nil {
-			mask = masks[period-1]
-			aliveFracSum += faults.AliveFraction(mask)
+		if dying != nil && dying[period] > 0 {
+			for id, d := range deaths {
+				if d == period {
+					mask[id] = false
+				}
+			}
+			alive -= dying[period]
+			relay.stale = true
+		}
+		if n > 0 {
+			aliveFracSum += float64(alive) / float64(n)
 		} else {
 			aliveFracSum++
 		}
@@ -247,7 +261,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 			buf = scratch.idx[c].QuerySegment(seg, cl.Rs, buf[:0])
 			for _, id := range buf {
 				id += off
-				if mask != nil && !mask[id] {
+				if deaths != nil && deaths[id] <= period {
 					continue // dead sensors do not sense
 				}
 				detected := false
@@ -257,7 +271,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 					detected = disk.Detects(sensors[id], seg, rng)
 				}
 				if detected {
-					if err := deliver(id, period, mask); err != nil {
+					if err := deliver(id, period); err != nil {
 						return nil, err
 					}
 				}
@@ -266,11 +280,11 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		}
 		if fa.P > 0 {
 			for s := 0; s < n; s++ {
-				if mask != nil && !mask[s] {
+				if deaths != nil && deaths[s] <= period {
 					continue // dead sensors do not false-alarm either
 				}
 				if fa.Fires(rng) {
-					if err := deliver(s, period, mask); err != nil {
+					if err := deliver(s, period); err != nil {
 						return nil, err
 					}
 				}
@@ -278,10 +292,10 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		}
 		if cfg.Beacons {
 			for s := 0; s < n; s++ {
-				if mask != nil && !mask[s] {
+				if deaths != nil && deaths[s] <= period {
 					continue // dead sensors beacon least of all
 				}
-				if err := beacon(s, mask); err != nil {
+				if err := beacon(s); err != nil {
 					return nil, err
 				}
 			}
@@ -292,10 +306,6 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 			}
 			inferStats.Generated += genNow
 			inferStats.Delivered += delNow
-			truth := allAlive
-			if mask != nil {
-				truth = mask
-			}
 			c, err := eng.Score(truth)
 			if err != nil {
 				return nil, err
@@ -311,11 +321,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	// declaration/retraction tallies, and time-to-detect for every dead
 	// sensor the engine caught at or after its true death period.
 	if eng != nil {
-		final := allAlive
-		if masks != nil {
-			final = masks[mission-1]
-		}
-		c, err := eng.Score(final)
+		c, err := eng.Score(truth)
 		if err != nil {
 			return nil, err
 		}
@@ -325,18 +331,12 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		inferStats.Retractions = eng.Retractions()
 		inferStats.InferredDead = eng.DeadCount()
 		for i := 0; i < n; i++ {
-			if final[i] {
+			if truth[i] {
 				continue
 			}
 			inferStats.TruthDead++
-			died := 0
-			for t := 0; t < mission; t++ {
-				if !masks[t][i] {
-					died = t + 1
-					break
-				}
-			}
-			if at := eng.DeclaredAt(i); died != 0 && at >= died {
+			died := deaths[i]
+			if at := eng.DeclaredAt(i); at >= died {
 				inferStats.TTDSum += at - died + 1
 				inferStats.TTDCount++
 			}
@@ -378,31 +378,35 @@ type relayState struct {
 	net  netsim.Network
 	base int // base station id
 
-	// Routing state for the current mask.
-	aimed   bool   // routing is aimed at this trial's network and mask
-	mask    []bool // the mask routing is aimed at; empty when all alive
-	keep    []bool // mask with the base forced alive
+	// mask is the trial's alive mask, nil when everyone is alive; the
+	// kernel updates it in place and sets stale when a death lands.
+	mask  []bool
+	stale bool
+	aimed bool   // routing is aimed at this trial's network
+	keep  []bool // mask with the base forced alive
+	// routing is aimed lazily, at the first send after a change.
 	routing netsim.Routing
 }
 
-// rebuild re-aims the relay at a new deployment.
-func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geom.Rect) error {
+// rebuild re-aims the relay at a new deployment and its alive mask.
+func (r *relayState) rebuild(sensors []geom.Point, commRange float64, bounds geom.Rect, mask []bool) error {
 	if err := r.net.Rebuild(sensors, commRange, bounds); err != nil {
 		return err
 	}
 	r.base = netsim.CenterNode(sensors, bounds)
+	r.mask = mask
 	r.aimed = false
 	return nil
 }
 
 // send forwards a report from sensor id to the base over the network
-// induced by the alive mask (nil means everyone is alive). The base is
-// protected: it relays even when the mask marks it dead.
-func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.Rand) (netsim.Delivery, error) {
-	if err := r.aim(mask); err != nil {
+// induced by the alive mask. The base is protected: it relays even when
+// the mask marks it dead.
+func (r *relayState) send(id int, loss netsim.LossModel, rng *rand.Rand) (netsim.Delivery, error) {
+	if err := r.aim(); err != nil {
 		return netsim.Delivery{}, err
 	}
-	if mask != nil && !mask[id] && id != r.base {
+	if r.mask != nil && !r.mask[id] && id != r.base {
 		// Defensive: dead sensors are filtered before sensing, so a report
 		// from one is a bug in the caller.
 		return netsim.Delivery{}, fmt.Errorf("report from dead sensor %d: %w", id, ErrConfig)
@@ -410,15 +414,15 @@ func (r *relayState) send(id int, mask []bool, loss netsim.LossModel, rng *rand.
 	return r.routing.Send(id, loss, rng)
 }
 
-// aim points the routing table at mask when it is not already.
-func (r *relayState) aim(mask []bool) error {
-	if r.aimed && sameMask(r.mask, mask) {
+// aim points the routing table at the current mask when it is not already.
+func (r *relayState) aim() error {
+	if r.aimed && !r.stale {
 		return nil
 	}
-	r.mask = append(r.mask[:0], mask...)
+	r.stale = false
 	var alive []bool
-	if mask != nil {
-		r.keep = append(r.keep[:0], mask...)
+	if r.mask != nil {
+		r.keep = append(r.keep[:0], r.mask...)
 		r.keep[r.base] = true // the base station survives
 		alive = r.keep
 	}
@@ -427,16 +431,4 @@ func (r *relayState) aim(mask []bool) error {
 		return r.routing.Rebuild(&r.net, r.base, alive)
 	}
 	return r.routing.Reset(alive)
-}
-
-func sameMask(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
