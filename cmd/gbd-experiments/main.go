@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/groupdetect/gbd/internal/checkpoint"
@@ -41,6 +42,16 @@ func canonSchemeName(s field.RNGScheme) string {
 		return ""
 	}
 	return s.String()
+}
+
+// expUsage is the -exp help, naming every registered experiment id.
+func expUsage() string {
+	runners := experiments.Runners()
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.ID
+	}
+	return "experiment id (" + strings.Join(ids, ", ") + ") or all"
 }
 
 func main() {
@@ -68,7 +79,7 @@ type campaignParams struct {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("gbd-experiments", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "all", "experiment id (fig8, fig9a, fig9b, fig9c, timing, extension, kmin, boundary, comm, latency, tapproach) or all")
+		exp     = fs.String("exp", "all", expUsage())
 		trials  = fs.Int("trials", 0, "Monte Carlo trials per point (0 = paper's 10000)")
 		seed    = fs.Int64("seed", 1, "random seed")
 		quick   = fs.Bool("quick", false, "reduced sweeps and trial counts")

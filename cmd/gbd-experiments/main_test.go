@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/groupdetect/gbd/internal/experiments"
 )
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -66,5 +68,16 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-zzz"}); err == nil {
 		t.Error("bad flag should fail")
+	}
+}
+
+// TestExpUsageNamesEveryExperiment: the -exp help lists every id the
+// registry runs, so a new experiment cannot be missing from it.
+func TestExpUsageNamesEveryExperiment(t *testing.T) {
+	usage := expUsage()
+	for _, r := range experiments.Runners() {
+		if !strings.Contains(usage, r.ID+",") && !strings.Contains(usage, r.ID+")") {
+			t.Errorf("-exp help %q does not name %q", usage, r.ID)
+		}
 	}
 }

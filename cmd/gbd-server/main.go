@@ -75,6 +75,25 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client that never finishes its request headers,
+// or parks an idle keep-alive connection, cannot hold a connection open
+// forever. ReadTimeout and WriteTimeout stay unset: a sweep stream writes
+// for up to -request-timeout, and the per-request deadline bounds it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the http.Server that run serves
+// and drains.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("gbd-server", flag.ContinueOnError)
 	var (
@@ -165,7 +184,7 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	// The test harness and smoke scripts parse this line for the bound
 	// port, so keep its shape stable.
 	fmt.Fprintf(w, "gbd-server listening on http://%s\n", ln.Addr())

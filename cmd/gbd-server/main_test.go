@@ -237,3 +237,16 @@ func TestServerServesAndStops(t *testing.T) {
 		t.Fatal("server did not stop on SIGTERM")
 	}
 }
+
+// TestHTTPServerTimeouts: the http.Server run serves bounds header reads
+// and idle keep-alive connections, and sets no whole-request read or
+// write deadline, which would cut long sweep streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want both unset", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

@@ -183,6 +183,12 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	}
 	defer resp.Body.Close()
 	for k, vs := range resp.Header {
+		// Content-Length stays behind: with chunked framing the client
+		// sees the end of the body only once handle returns, after the
+		// counters for this request are final.
+		if k == "Content-Length" {
+			continue
+		}
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}

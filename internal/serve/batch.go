@@ -12,11 +12,9 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"github.com/groupdetect/gbd/internal/detect"
 )
@@ -68,13 +66,8 @@ type sweepPointCanonical struct {
 // parameters and cache key.
 func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, error) {
 	var p detect.Params
-	switch req.Axis {
-	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
-	default:
-		return p, "", fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", req.Axis, ErrRequest)
-	}
-	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
-		return p, "", fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
+	if err := s.checkAxisTrials(req.Axis, req.Trials); err != nil {
+		return p, "", err
 	}
 	if req.Index < 0 {
 		return p, "", fmt.Errorf("index = %d must be >= 0: %w", req.Index, ErrRequest)
@@ -96,147 +89,33 @@ func (s *Server) sweepPointKey(req SweepPointRequest) (detect.Params, string, er
 	return p, key, err
 }
 
-// planItem resolves one batch item to its cache key and local compute.
-// The compute closures are the standalone handlers' closures, so the
-// rendered bytes and cache entries are shared with the /v1/* surface by
-// construction.
-func (s *Server) planItem(it BatchItem) (string, func(ctx context.Context) (any, error), error) {
+// planItem resolves one batch item through the op table, so its key
+// and compute are the standalone endpoint's by construction.
+func (s *Server) planItem(it BatchItem) (string, computeFunc, error) {
 	if len(it.Request) == 0 {
 		return "", nil, fmt.Errorf("batch item %q missing request: %w", it.Op, ErrRequest)
 	}
-	switch it.Op {
-	case "analyze":
-		var req AnalyzeRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.analyzeKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeAnalyze(ctx, p, req) }, nil
-	case "design":
-		var req DesignRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.designKey(&req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeDesign(ctx, p, req) }, nil
-	case "latency":
-		var req LatencyRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.latencyKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeLatency(ctx, p, req) }, nil
-	case "simulate":
-		var req SimulateRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.simulateKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeSimulate(ctx, p, req) }, nil
-	case "infer":
-		var req InferRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, cfg, key, err := s.inferKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computeInfer(ctx, p, req, cfg) }, nil
-	case "place":
-		var req PlaceRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		cfg, classes, key, err := s.placeKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		return key, func(ctx context.Context) (any, error) { return s.computePlace(ctx, cfg, classes) }, nil
-	case "sweep_point":
-		var req SweepPointRequest
-		if err := decodeBytes(it.Request, &req); err != nil {
-			return "", nil, err
-		}
-		p, key, err := s.sweepPointKey(req)
-		if err != nil {
-			return "", nil, err
-		}
-		// sweepPoint renders through the same SweepRow the streaming
-		// endpoint marshals, with IndexBase carrying the global index.
-		sreq := SweepRequest{
-			Scenario: req.Scenario, Options: req.Options, Axis: req.Axis,
-			Trials: req.Trials, Seed: req.Seed, RNG: req.RNG,
-			IndexBase: req.Index,
-		}
-		return key, func(ctx context.Context) (any, error) {
-			row, err := s.sweepPoint(ctx, p, sreq, 0, req.Value)
-			if err != nil {
-				return nil, err
-			}
-			return row, nil
-		}, nil
+	o, err := lookupOp(it.Op)
+	if err != nil {
+		return "", nil, err
 	}
-	return "", nil, fmt.Errorf("op = %q must be one of analyze, design, latency, simulate, infer, place, sweep_point: %w", it.Op, ErrRequest)
+	return o.plan(s, it.Request)
 }
 
-// forwardItem routes one batch item to the replica owning its key,
-// replayed as a single-item batch (uniform for every op, including
-// sweep_point which has no standalone endpoint). The returned bytes are
-// the owner's rendered line. ok=false means compute locally; like
-// tryForward, failures never surface as errors.
-func (s *Server) forwardItem(r *http.Request, key string, it BatchItem) ([]byte, bool) {
-	if s.peers == nil || r.Header.Get(peerHeader) != "" {
-		return nil, false
-	}
-	fwd := &forwardSpec{endpoint: "/v1/batch", body: func() ([]byte, error) {
-		b, err := json.Marshal(BatchRequest{Items: []BatchItem{it}})
-		if err != nil {
-			return nil, fmt.Errorf("serve: marshal forward item: %w", err)
-		}
-		return b, nil
+// itemForward replays one planned batch item at its key's owner as a
+// single-item batch — uniform for every op, including sweep_point, which
+// has no standalone path. The body splices the item verbatim: a planned
+// item's op is a table name and its request is a JSON value the envelope
+// decoded, so the splice is a valid BatchRequest.
+func itemForward(it BatchItem) *forwardSpec {
+	return &forwardSpec{endpoint: "/v1/batch", batch: true, body: func() []byte {
+		return []byte(`{"items":[{"op":"` + it.Op + `","request":` + string(it.Request) + `}]}`)
 	}}
-	for attempt := 0; attempt < 2; attempt++ {
-		member, url, self := s.peers.Route(key)
-		if self {
-			return nil, false
-		}
-		b, status, xcache, err := s.peerFetch(r, url, fwd)
-		if err != nil {
-			peerForwardFails.Inc()
-			if s.peers.OnFailure(member) {
-				peerDeaths.Inc()
-			}
-			continue
-		}
-		s.peers.OnSuccess(member)
-		// The owner answered: a non-200 (shed batch) or an in-band error
-		// line (error=1 in its aggregate header) is not cacheable — fall
-		// back to local compute without marking the peer dead.
-		if status != http.StatusOK || len(b) == 0 || !strings.HasSuffix(xcache, ",error=0") {
-			peerForwardFails.Inc()
-			return nil, false
-		}
-		return b, true
-	}
-	return nil, false
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -259,7 +138,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// in-band error line; the header reflects lookup-time classification.
 	type itemState struct {
 		key     string
-		compute func(ctx context.Context) (any, error)
+		compute computeFunc
 		body    []byte
 		err     error
 	}
@@ -268,23 +147,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, it := range req.Items {
 		st := &itemState{}
 		states[i] = st
-		key, compute, err := s.planItem(it)
-		if err != nil {
-			st.err = err
+		st.key, st.compute, st.err = s.planItem(it)
+		if st.err != nil {
 			errs++
 			continue
 		}
-		st.key, st.compute = key, compute
-		if body, ok := s.cache.get(key); ok {
+		if body, ok := s.cache.get(st.key); ok {
 			lookupHit()
 			hits++
 			st.body = body
 			continue
 		}
-		if body, ok := s.forwardItem(r, key, it); ok {
+		if body, _, ok := s.forward(r, st.key, itemForward(it)); ok {
 			lookupForward()
 			forwards++
-			s.cache.add(key, body)
+			s.cache.add(st.key, body)
 			st.body = body
 			continue
 		}

@@ -1,9 +1,8 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -16,34 +15,24 @@ import (
 const peerHeader = "X-Gbd-Peer"
 
 // forwardSpec describes how to replay a request at the key's owning
-// replica: the standalone endpoint to POST and a lazy body renderer
-// (marshaling is deferred because most lookups never forward).
+// replica: the endpoint to POST and a lazy body, built only once a peer
+// other than self owns the key (most lookups never forward).
 type forwardSpec struct {
 	endpoint string
-	body     func() ([]byte, error)
+	body     func() []byte
+	// batch marks a single-item /v1/batch replay, whose answer is accepted
+	// only as a non-empty line without an in-band error.
+	batch bool
 }
 
-// marshalForward builds a forwardSpec that re-marshals the decoded
-// request. Re-encoding is sound: the owner canonicalizes the body again,
-// so any JSON spelling of the same request reaches the same cache key.
-func marshalForward(endpoint string, req any) *forwardSpec {
-	return &forwardSpec{endpoint: endpoint, body: func() ([]byte, error) {
-		b, err := json.Marshal(req)
-		if err != nil {
-			return nil, fmt.Errorf("serve: marshal forward body: %w", err)
-		}
-		return b, nil
-	}}
-}
-
-// tryForward routes a cache miss to the replica owning key. It returns
-// the owner's rendered bytes and its upstream provenance tag when the
-// forward succeeded; ok=false means the caller must compute locally —
-// sharding disabled, we own the key, the request is already a forward,
-// or the owner is unreachable (it is marked dead and the key re-routes).
+// forward routes a cache miss to the replica owning key. It returns the
+// owner's rendered bytes and its upstream provenance tag when the forward
+// succeeded; ok=false means the caller must compute locally — sharding
+// disabled, we own the key, the request is already a forward, or the
+// owner is unreachable (it is marked dead and the key re-routes).
 // Forward failures never surface to the client as errors: the fallback
 // is always local computation.
-func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body []byte, upstream string, ok bool) {
+func (s *Server) forward(r *http.Request, key string, fwd *forwardSpec) (body []byte, upstream string, ok bool) {
 	if s.peers == nil || fwd == nil || r.Header.Get(peerHeader) != "" {
 		return nil, "", false
 	}
@@ -54,7 +43,7 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 		if self {
 			return nil, "", false
 		}
-		b, status, _, err := s.peerFetch(r, url, fwd)
+		b, status, xcache, err := s.peerFetch(r, url+fwd.endpoint, fwd.body())
 		if err != nil {
 			// Transport-level failure: the peer is unreachable. Open its
 			// circuit and try the re-routed owner.
@@ -65,9 +54,11 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 			continue
 		}
 		s.peers.OnSuccess(member)
-		if status != http.StatusOK {
-			// The peer is alive but refused (shed, bad request): do not
-			// mark it dead — owner-computes is best-effort, compute here.
+		// The peer is alive but refused (shed, bad request), or answered a
+		// batch item with an in-band error line (error=1 in its aggregate
+		// header). Neither is cacheable; do not mark the peer dead —
+		// owner-computes is best-effort, compute here.
+		if status != http.StatusOK || fwd.batch && (len(b) == 0 || !strings.HasSuffix(xcache, ",error=0")) {
 			peerForwardFails.Inc()
 			return nil, "", false
 		}
@@ -76,7 +67,7 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 	return nil, "", false
 }
 
-// peerFetch replays the request at a peer and returns the response body,
+// peerFetch posts payload to a peer URL and returns the response body,
 // status, and X-Cache provenance (batch forwarding inspects the latter
 // for per-item errors). The peer header suppresses further forwarding
 // hops.
@@ -87,14 +78,10 @@ func (s *Server) tryForward(r *http.Request, key string, fwd *forwardSpec) (body
 // slow": a stalled owner burns one PeerTimeout, trips its breaker via
 // the caller's OnFailure, and the request computes locally with most of
 // its RequestTimeout still available.
-func (s *Server) peerFetch(r *http.Request, url string, fwd *forwardSpec) ([]byte, int, string, error) {
-	payload, err := fwd.body()
-	if err != nil {
-		return nil, 0, "", err
-	}
+func (s *Server) peerFetch(r *http.Request, url string, payload []byte) ([]byte, int, string, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.PeerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+fwd.endpoint, strings.NewReader(string(payload)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
 		return nil, 0, "", err
 	}

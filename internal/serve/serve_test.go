@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -268,6 +269,42 @@ func TestExperimentEndpoint(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative trials: status %d, want 400", bad.StatusCode)
+	}
+}
+
+// TestExperimentQueryParsing: trials and seed must parse whole. A
+// prefix parse would answer "12abc" as 12, "1.5" as 1 and "0x10" as 0.
+func TestExperimentQueryParsing(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	cases := []struct {
+		query string
+		want  int
+	}{
+		{"trials=0", http.StatusOK},
+		{"seed=-3", http.StatusOK},
+		{"trials=12abc", http.StatusBadRequest},
+		{"trials=1.5", http.StatusBadRequest},
+		{"trials=-5", http.StatusBadRequest},
+		{"trials=", http.StatusOK}, // empty means the default
+		{"seed=0x10", http.StatusBadRequest},
+		{"seed=7s", http.StatusBadRequest},
+		{"seed=1e3", http.StatusBadRequest},
+		{"seed=99999999999999999999", http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		resp, err := http.Get(ts.URL + "/v1/experiments/kmin?" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("?%s: status %d, want %d: %s", c.query, resp.StatusCode, c.want, body)
+		}
+		if c.want == http.StatusBadRequest && !strings.Contains(string(body), ErrRequest.Error()) {
+			t.Errorf("?%s: body %s does not name %v", c.query, body, ErrRequest)
+		}
 	}
 }
 

@@ -37,19 +37,28 @@ type SweepRow struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// checkAxisTrials validates the axis and per-point trial count that a
+// /v1/sweep stream and a sweep_point batch item share.
+func (s *Server) checkAxisTrials(axis SweepAxis, trials int) error {
+	switch axis {
+	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
+	default:
+		return fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", axis, ErrRequest)
+	}
+	if trials < 0 || trials > s.cfg.MaxTrials {
+		return fmt.Errorf("trials = %d must be in [0, %d]: %w", trials, s.cfg.MaxTrials, ErrRequest)
+	}
+	return nil
+}
+
 // validateSweep checks the request envelope before any streaming starts,
 // so envelope problems still surface as a proper 400.
 func (s *Server) validateSweep(req SweepRequest) error {
-	switch req.Axis {
-	case AxisN, AxisV, AxisK, AxisM, AxisPd, AxisDeadFrac:
-	default:
-		return fmt.Errorf("axis = %q must be one of n, v, k, m, pd, dead_frac: %w", req.Axis, ErrRequest)
+	if err := s.checkAxisTrials(req.Axis, req.Trials); err != nil {
+		return err
 	}
 	if len(req.Values) < 1 || len(req.Values) > s.cfg.MaxSweepPoints {
 		return fmt.Errorf("values must hold between 1 and %d points, got %d: %w", s.cfg.MaxSweepPoints, len(req.Values), ErrRequest)
-	}
-	if req.Trials < 0 || req.Trials > s.cfg.MaxTrials {
-		return fmt.Errorf("trials = %d must be in [0, %d]: %w", req.Trials, s.cfg.MaxTrials, ErrRequest)
 	}
 	if req.Retries != nil && *req.Retries < 0 {
 		return fmt.Errorf("retries = %d must be >= 0: %w", *req.Retries, ErrRequest)
@@ -181,7 +190,7 @@ func (s *Server) sweepPoint(ctx context.Context, base detect.Params, req SweepRe
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
