@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	gbd "github.com/groupdetect/gbd"
@@ -16,6 +18,49 @@ func TestRunDesignWorkflow(t *testing.T) {
 	if err := run([]string{"-target", "0.7", "-n-max", "400"}); err != nil {
 		t.Errorf("design run: %v", err)
 	}
+}
+
+// TestSystemLinePins pins the end-to-end confirmation line: the gated,
+// false-alarm system campaign at 1000 trials, on the default radios and on
+// sparse, slow ones that partition the network and deliver reports late.
+func TestSystemLinePins(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "system:   end-to-end P[detect] = 0.9110 (delivered 100.0% of reports, gated rule)\n"},
+		{[]string{"-comm", "3000", "-hop", "40s"}, "system:   end-to-end P[detect] = 0.5710 (delivered 58.4% of reports, gated rule)\n"},
+	} {
+		out := captureStdout(t, func() error { return run(tc.args) })
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("run(%v) output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return out
 }
 
 func TestRunDesignErrors(t *testing.T) {
