@@ -1,6 +1,7 @@
 package gbd
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/groupdetect/gbd/internal/coverage"
@@ -9,7 +10,6 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 	"github.com/groupdetect/gbd/internal/sensing"
 	"github.com/groupdetect/gbd/internal/sim"
-	"github.com/groupdetect/gbd/internal/system"
 )
 
 // SensorClass describes one homogeneous sub-fleet of a heterogeneous
@@ -64,15 +64,15 @@ func NewCoverageMap(p Params, sensors []Point, cell float64) (*CoverageMap, erro
 // SystemConfig configures the end-to-end deployed-system simulation:
 // sensing, false alarms, multi-hop delivery to a central base, and the
 // windowed (optionally track-gated) decision.
-type SystemConfig = system.Config
+type SystemConfig = sim.SystemConfig
 
 // SystemResult aggregates an end-to-end campaign.
-type SystemResult = system.Result
+type SystemResult = sim.SystemResult
 
 // SimulateSystem runs the full pipeline — the deployed-system counterpart
 // of Simulate, which models sensing only.
 func SimulateSystem(cfg SystemConfig) (*SystemResult, error) {
-	return system.Run(cfg)
+	return sim.RunSystem(context.Background(), cfg)
 }
 
 // CalibratePd maps the dwell-time (exposure) sensing model of the paper's

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"github.com/groupdetect/gbd/internal/detect"
-	"github.com/groupdetect/gbd/internal/system"
+	"github.com/groupdetect/gbd/internal/sim"
 )
 
 // EndToEnd compares the sensing-only analysis with the full deployed
@@ -40,7 +40,7 @@ func EndToEnd(opt Options) (*Table, error) {
 		if err != nil {
 			return e2ePoint{}, err
 		}
-		res, err := system.RunCtx(ctx, system.Config{
+		res, err := sim.RunSystem(ctx, sim.SystemConfig{
 			Params:    p,
 			CommRange: 6000,
 			PerHop:    10 * time.Second,

@@ -220,13 +220,13 @@ func TestLazyAdjacencyMatchesEager(t *testing.T) {
 			}
 		}
 		base := CenterNode(c.pts, c.bounds)
-		hops, err := n.HopsFrom(base)
+		hops, err := hopsFrom(n, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, want := range refBFS(ref, base, nil) {
 			if hops[i] != want {
-				t.Fatalf("%s: HopsFrom[%d] = %d, want %d", c.name, i, hops[i], want)
+				t.Fatalf("%s: hopsFrom[%d] = %d, want %d", c.name, i, hops[i], want)
 			}
 		}
 	}

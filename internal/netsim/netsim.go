@@ -386,29 +386,3 @@ func (n *Network) Delivery(base int, perHop, budget time.Duration) (DeliveryStat
 	}
 	return stats, nil
 }
-
-// HopsFrom returns the shortest hop count from base to every node with a
-// single BFS: hops[i] is -1 for nodes disconnected from base.
-func (n *Network) HopsFrom(base int) ([]int, error) {
-	if err := n.checkIDs(base); err != nil {
-		return nil, err
-	}
-	adj := n.sweep()
-	hops := make([]int, n.Len())
-	for i := range hops {
-		hops[i] = -1
-	}
-	hops[base] = 0
-	queue := make([]int32, 1, n.Len())
-	queue[0] = int32(base)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range adj[u] {
-			if hops[v] < 0 {
-				hops[v] = hops[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return hops, nil
-}

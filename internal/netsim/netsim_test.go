@@ -210,9 +210,25 @@ func TestNodeAccessor(t *testing.T) {
 	}
 }
 
+// hopsFrom is every node's shortest hop count to base, read off an
+// all-alive routing table; -1 marks a node cut off from base.
+func hopsFrom(n *Network, base int) ([]int, error) {
+	r, err := n.NewRouting(base, nil)
+	if err != nil {
+		return nil, err
+	}
+	hops := make([]int, n.Len())
+	for i := range hops {
+		if hops[i], err = r.Hops(i); err != nil {
+			return nil, err
+		}
+	}
+	return hops, nil
+}
+
 func TestHopsFrom(t *testing.T) {
 	n := mustNetwork(t, line(5, 10), 15, geom.Square(100))
-	hops, err := n.HopsFrom(0)
+	hops, err := hopsFrom(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +237,13 @@ func TestHopsFrom(t *testing.T) {
 			t.Errorf("hops[%d] = %d, want %d", i, hops[i], want)
 		}
 	}
-	if _, err := n.HopsFrom(-1); err == nil {
+	if _, err := hopsFrom(n, -1); err == nil {
 		t.Error("bad base should fail")
 	}
 	// Disconnected nodes report -1.
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
 	d := mustNetwork(t, pts, 10, geom.Square(200))
-	hops, err = d.HopsFrom(0)
+	hops, err = hopsFrom(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +259,7 @@ func TestHopsFromMatchesShortestHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := mustNetwork(t, pts, 6000, bounds)
-	hops, err := n.HopsFrom(0)
+	hops, err := hopsFrom(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

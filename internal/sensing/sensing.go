@@ -25,17 +25,6 @@ type Disk struct {
 	Pd float64
 }
 
-// NewDisk validates and returns a disk sensing model.
-func NewDisk(rs, pd float64) (Disk, error) {
-	if rs <= 0 {
-		return Disk{}, fmt.Errorf("rs = %v must be positive: %w", rs, ErrModel)
-	}
-	if !(pd > 0 && pd <= 1) {
-		return Disk{}, fmt.Errorf("pd = %v must be in (0, 1]: %w", pd, ErrModel)
-	}
-	return Disk{Rs: rs, Pd: pd}, nil
-}
-
 // Covers reports whether the target is within the sensor's range at some
 // moment of a period whose path is seg — i.e. the sensor lies in the
 // period's detectable region (Figure 1).

@@ -8,27 +8,8 @@ import (
 	"github.com/groupdetect/gbd/internal/geom"
 )
 
-func TestNewDiskValidation(t *testing.T) {
-	if _, err := NewDisk(0, 0.5); err == nil {
-		t.Error("zero range should fail")
-	}
-	if _, err := NewDisk(1, 0); err == nil {
-		t.Error("zero pd should fail")
-	}
-	if _, err := NewDisk(1, 1.1); err == nil {
-		t.Error("pd > 1 should fail")
-	}
-	d, err := NewDisk(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Rs != 5 || d.Pd != 1 {
-		t.Errorf("disk = %+v", d)
-	}
-}
-
 func TestCovers(t *testing.T) {
-	d, _ := NewDisk(2, 1)
+	d := Disk{Rs: 2, Pd: 1}
 	seg := geom.Segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 10, Y: 0}}
 	if !d.Covers(geom.Point{X: 5, Y: 1.9}, seg) {
 		t.Error("point inside range not covered")
@@ -45,7 +26,7 @@ func TestCovers(t *testing.T) {
 }
 
 func TestDetectsPdOne(t *testing.T) {
-	d, _ := NewDisk(2, 1)
+	d := Disk{Rs: 2, Pd: 1}
 	seg := geom.Segment{A: geom.Point{}, B: geom.Point{X: 1, Y: 0}}
 	// Pd = 1 must detect without consuming randomness (rng may be nil).
 	if !d.Detects(geom.Point{X: 0.5, Y: 0}, seg, nil) {
@@ -57,7 +38,7 @@ func TestDetectsPdOne(t *testing.T) {
 }
 
 func TestDetectsFrequencyMatchesPd(t *testing.T) {
-	d, _ := NewDisk(2, 0.9)
+	d := Disk{Rs: 2, Pd: 0.9}
 	seg := geom.Segment{A: geom.Point{}, B: geom.Point{X: 1, Y: 0}}
 	sensor := geom.Point{X: 0.5, Y: 0}
 	rng := field.NewRand(42)

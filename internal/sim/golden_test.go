@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -379,6 +380,86 @@ func TestGoldenInferCampaign(t *testing.T) {
 		got := fmt.Sprintf("%.17g %+v %.17g", res.DetectionProb, *res.Infer, res.Faults.MeanAliveFrac)
 		if got != tc.want {
 			t.Errorf("%v: got %q, want exactly %q", tc.rng, got, tc.want)
+		}
+	}
+}
+
+// systemGoldenConfig is the end-to-end golden campaigns' base: the ONR
+// scenario on 6 km radios at 10 s per hop.
+func systemGoldenConfig() sim.SystemConfig {
+	return sim.SystemConfig{
+		Params:    detect.Defaults(),
+		CommRange: 6000,
+		PerHop:    10 * time.Second,
+		Seed:      21,
+	}
+}
+
+// TestGoldenFalseAlarmCampaigns pins the end-to-end pipeline with false
+// alarms under both decision rules. The values were recorded on the
+// standalone end-to-end trial loop, before it was folded into the sim
+// trial kernel, and must stay exact.
+func TestGoldenFalseAlarmCampaigns(t *testing.T) {
+	for _, tc := range []struct {
+		gated                        bool
+		detections                   int
+		delivered, delay, latencyAvg float64
+	}{
+		{false, 266, 0.99970492770728825, 0.00029515938606847696, 9.1917293233082713},
+		{true, 237, 0.99970492770728825, 0.00029515938606847696, 10.278481012658228},
+	} {
+		cfg := systemGoldenConfig()
+		cfg.Trials = 300
+		cfg.Workers = 2
+		cfg.FalseAlarmP = 0.001
+		cfg.Gated = tc.gated
+		res, err := sim.RunSystem(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Detections != tc.detections {
+			t.Errorf("gated=%v: Detections = %d, want exactly %d", tc.gated, res.Detections, tc.detections)
+		}
+		for _, v := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"DeliveredFrac", res.DeliveredFrac, tc.delivered},
+			{"MeanDeliveryPeriods", res.MeanDeliveryPeriods, tc.delay},
+			{"DecisionLatency.Mean", res.DecisionLatency.Mean(), tc.latencyAvg},
+		} {
+			if v.got != v.want && !(math.IsNaN(v.got) && math.IsNaN(v.want)) {
+				t.Errorf("gated=%v: %s = %.17g, want exactly %.17g", tc.gated, v.name, v.got, v.want)
+			}
+		}
+	}
+}
+
+// TestGoldenRelayTrials pins the end-to-end pipeline's relay hop counts
+// from a dense to a partitioned network. The values were recorded before
+// the network was built lazily and must stay exact.
+func TestGoldenRelayTrials(t *testing.T) {
+	for _, tc := range []struct {
+		n         int
+		commRange float64
+		want      string
+	}{
+		{240, 6000, "0.95999999999999996 1 0"},
+		{180, 6000, "0.91666666666666663 1 0"},
+		{120, 2500, "0.063333333333333339 0.089086859688195991 0.09166666666666666"},
+	} {
+		cfg := systemGoldenConfig()
+		cfg.Params.N = tc.n
+		cfg.CommRange = tc.commRange
+		cfg.Trials = 300
+		cfg.Workers = 2
+		res, err := sim.RunSystem(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%.17g %.17g %.17g", res.DetectionProb, res.DeliveredFrac, res.MeanDeliveryPeriods)
+		if got != tc.want {
+			t.Errorf("N=%d range %v: got %q, want exactly %q", tc.n, tc.commRange, got, tc.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/groupdetect/gbd/internal/detect"
 	"github.com/groupdetect/gbd/internal/field"
 	"github.com/groupdetect/gbd/internal/geom"
+	"github.com/groupdetect/gbd/internal/track"
 )
 
 // trialScratch is the per-worker arena of the trial hot path: everything a
@@ -27,6 +28,49 @@ type trialScratch struct {
 	deaths    []int         // per-sensor death period under a fault model
 	dying     []int         // per-period death counts, 1-based
 	mask      []bool        // per-sensor alive mask of the current period
+	arrived   []arrival     // arrived reports, kept for the gated decision
+	inbox     []track.Report
+}
+
+// arrival is one report that reached the base, in period at.
+type arrival struct {
+	at     int
+	report track.Report
+}
+
+// gatedDetection runs the gated base station: at the end of every period
+// in which reports arrive, once at least K have, it applies track.Decide
+// to everything arrived so far — in arrival order, generation order within
+// a period — and returns the first period that detects (0 if none).
+// arrivals holds the per-period counts of s.arrived.
+func (s *trialScratch) gatedDetection(arrivals []int, p detect.Params) (int, error) {
+	gate, err := track.NewGate(p.V, p.T, p.Rs)
+	if err != nil {
+		return 0, err
+	}
+	inbox := s.inbox[:0]
+	defer func() { s.inbox = inbox[:0] }()
+	for period := 1; period < len(arrivals); period++ {
+		if arrivals[period] == 0 {
+			continue // nothing new: the previous verdict stands
+		}
+		for _, a := range s.arrived {
+			if a.at == period {
+				inbox = append(inbox, a.report)
+			}
+		}
+		if len(inbox) < p.K {
+			continue
+		}
+		dec, err := track.Decide(inbox, p.K, p.M, gate, true)
+		if err != nil {
+			return 0, err
+		}
+		if dec.Detected {
+			return period, nil
+		}
+	}
+	return 0, nil
 }
 
 var scratchPool = sync.Pool{

@@ -128,6 +128,14 @@ type Config struct {
 	// trial's randomness, so a campaign with Infer set reports the same
 	// detection results as one without.
 	Infer *infer.Options
+
+	// perHop, when positive, delivers every report over the relay
+	// network's shortest path at this fixed per-hop latency, with no loss
+	// and no draw: the end-to-end system's channel. Only RunSystem sets it.
+	perHop time.Duration
+	// gated makes the base apply the kinematic track gate to the arrived
+	// reports. Only RunSystem sets it.
+	gated bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -277,6 +285,10 @@ type Result struct {
 	// Infer scores the failure-inference engine against the injected
 	// ground truth; nil unless Config.Infer was set.
 	Infer *InferStats
+
+	// delay sums, over arrived reports, the whole periods between
+	// generation and arrival at the base.
+	delay int
 }
 
 // InferStats aggregates the failure inferencer's accuracy across a
@@ -418,6 +430,8 @@ type TrialResult struct {
 	// Infer carries the trial's failure-inference scoring; nil unless
 	// Config.Infer was set.
 	Infer *InferStats
+
+	delay int // whole periods between generation and arrival, summed
 }
 
 // partial is one worker's share of a campaign's aggregation.
@@ -427,6 +441,7 @@ type partial struct {
 	latency    stats.Histogram
 	faults     FaultStats
 	infer      InferStats
+	delay      int
 }
 
 // record tallies one trial's decision period (0 when undetected) and
@@ -479,6 +494,7 @@ func run(ctx context.Context, cfg Config, fleet []detect.SensorClass) (*Result, 
 				return err
 			}
 			parts[w].faults.merge(tr.Faults)
+			parts[w].delay += tr.delay
 			if tr.Infer != nil {
 				parts[w].infer.merge(*tr.Infer)
 			}
@@ -498,6 +514,7 @@ func run(ctx context.Context, cfg Config, fleet []detect.SensorClass) (*Result, 
 		res.Reports.Merge(&parts[i].hist)
 		res.Latency.Merge(&parts[i].latency)
 		res.Faults.merge(parts[i].faults)
+		res.delay += parts[i].delay
 		if res.Infer != nil {
 			res.Infer.merge(parts[i].infer)
 		}

@@ -10,6 +10,7 @@ import (
 	"github.com/groupdetect/gbd/internal/infer"
 	"github.com/groupdetect/gbd/internal/netsim"
 	"github.com/groupdetect/gbd/internal/sensing"
+	"github.com/groupdetect/gbd/internal/track"
 )
 
 // runTrial is the simulator's one scalar trial: deploy the fleet, index
@@ -115,7 +116,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		}
 	}
 
-	track, err := cfg.sampleTrack(bounds, rng)
+	path, err := cfg.sampleTrack(bounds, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -123,13 +124,14 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	tr := &TrialResult{}
 	var reported map[int]bool
 	if detailed {
-		tr.Track = track
+		tr.Track = path
 		tr.Sensors = append([]geom.Point(nil), sensors...) // sensors is pooled scratch
 		tr.PerPeriod = make([]int, mission)
 		reported = make(map[int]bool)
 	}
 	arrivals := ints(scratch.perPeriod, mission+1) // 1-based arrival period at the base
 	scratch.perPeriod = arrivals
+	scratch.arrived = scratch.arrived[:0]
 	aliveFracSum := 0.0
 
 	// Per-period link telemetry for the inferencer: frames (reports and
@@ -147,62 +149,63 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		}
 	}
 
-	// deliver routes one report generated in period through the network
-	// (or the flat uplink, or counts it directly when delivery modeling
-	// is off).
+	// deliver routes one report generated in period to the base: over the
+	// flat uplink, the lossy relay network, or the relay's shortest path at
+	// a fixed per-hop latency (no draw), or straight to the base when
+	// delivery modeling is off. A report that arrives after the mission
+	// ends counts as lost.
 	deliver := func(id, period int) error {
 		tr.Faults.Generated++
 		genNow++
-		if uplink {
-			if rng.Float64() < cfg.PDeliver {
-				arrivals[period]++
-				tr.Faults.Delivered++
-				heard(id)
-				if detailed {
-					reported[id] = true
-				}
-			} else {
-				tr.Faults.Lost++
+		at, late := period, false // arrival period at the base; 0 when lost
+		switch {
+		case uplink:
+			if rng.Float64() >= cfg.PDeliver {
+				at = 0
 			}
-			return nil
+		case cfg.perHop > 0:
+			hops, err := relay.hops(id)
+			if err != nil {
+				return err
+			}
+			if hops < 0 {
+				at = 0 // cut off from the base
+				break
+			}
+			delay := netsim.Delivery{Latency: time.Duration(hops) * cfg.perHop}.PeriodsLate(p.T)
+			at, late = period+delay, delay > 0
+		case withDelivery:
+			d, err := relay.send(id, cfg.Loss, rng)
+			if err != nil {
+				return err
+			}
+			if d.Rerouted {
+				tr.Faults.Rerouted++
+			}
+			switch d.Outcome {
+			case netsim.Late:
+				at, late = period+d.PeriodsLate(p.T), true
+			case netsim.Lost:
+				at = 0
+			}
 		}
-		if !withDelivery {
-			arrivals[period]++
-			tr.Faults.Delivered++
-			heard(id)
-			if detailed {
-				reported[id] = true
-			}
-			return nil
-		}
-		d, err := relay.send(id, cfg.Loss, rng)
-		if err != nil {
-			return err
-		}
-		if d.Rerouted {
-			tr.Faults.Rerouted++
-		}
-		switch d.Outcome {
-		case netsim.Delivered:
-			arrivals[period]++
-			tr.Faults.Delivered++
-			heard(id)
-			if detailed {
-				reported[id] = true
-			}
-		case netsim.Late:
-			at := period + d.PeriodsLate(p.T)
-			if at > mission {
-				tr.Faults.Lost++ // the mission ended before it arrived
-				return nil
-			}
-			arrivals[at]++
-			tr.Faults.Late++
-			if detailed {
-				reported[id] = true
-			}
-		case netsim.Lost:
+		if at == 0 || at > mission {
 			tr.Faults.Lost++
+			return nil
+		}
+		arrivals[at]++
+		tr.delay += at - period
+		if late {
+			tr.Faults.Late++
+		} else {
+			tr.Faults.Delivered++
+			heard(id)
+		}
+		if detailed {
+			reported[id] = true
+		}
+		if cfg.gated {
+			scratch.arrived = append(scratch.arrived, arrival{at: at, report: track.Report{Sensor: id, Pos: sensors[id], Period: period}})
 		}
 		return nil
 	}
@@ -253,7 +256,7 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 		} else {
 			aliveFracSum++
 		}
-		seg := geom.Segment{A: track[period-1], B: track[period]}
+		seg := geom.Segment{A: path[period-1], B: path[period]}
 		segSpeed := seg.Length() / p.T.Seconds()
 		off := 0
 		for c, cl := range fleet {
@@ -346,14 +349,21 @@ func runTrial(cfg Config, fleet []detect.SensorClass, trial int, detailed bool) 
 	}
 
 	// The base evaluates the K-of-M sliding window on what actually
-	// arrived, period by period.
+	// arrived, period by period; the gated base also asks the reports to
+	// form one kinematically consistent track.
 	for period := 1; period <= mission; period++ {
 		tr.Reports += arrivals[period]
 	}
 	if detailed {
 		copy(tr.PerPeriod, arrivals[1:])
 	}
-	tr.DetectedAt = firstDetection(arrivals, p.M, p.K)
+	if cfg.gated {
+		if tr.DetectedAt, err = scratch.gatedDetection(arrivals, p); err != nil {
+			return nil, err
+		}
+	} else {
+		tr.DetectedAt = firstDetection(arrivals, p.M, p.K)
+	}
 	if !cfg.faulty() {
 		tr.Faults = FaultStats{} // the plain trial reports no fault accounting
 	}
@@ -412,6 +422,15 @@ func (r *relayState) send(id int, loss netsim.LossModel, rng *rand.Rand) (netsim
 		return netsim.Delivery{}, fmt.Errorf("report from dead sensor %d: %w", id, ErrConfig)
 	}
 	return r.routing.Send(id, loss, rng)
+}
+
+// hops returns sensor id's shortest-path hop count to the base over the
+// alive mask, or -1 when it is cut off. It makes no draw.
+func (r *relayState) hops(id int) (int, error) {
+	if err := r.aim(); err != nil {
+		return 0, err
+	}
+	return r.routing.Hops(id)
 }
 
 // aim points the routing table at the current mask when it is not already.
