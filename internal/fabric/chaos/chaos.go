@@ -47,6 +47,16 @@ type Config struct {
 	Stall time.Duration
 }
 
+// Connection timeouts, the values gbd-server uses. A client that never
+// finishes its request headers, or parks an idle keep-alive connection,
+// cannot hold a proxy connection open forever. ReadTimeout and
+// WriteTimeout stay unset: a proxied sweep stream, stalls included, may
+// write for as long as the upstream does.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Counts reports how many of each fault a proxy has injected.
 type Counts struct {
 	Requests  int64 `json:"requests"`
@@ -90,7 +100,11 @@ func Start(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("chaos: listen: %w", err)
 	}
 	p := &Proxy{cfg: cfg, ln: ln, hc: &http.Client{}}
-	p.srv = &http.Server{Handler: http.HandlerFunc(p.handle)}
+	p.srv = &http.Server{
+		Handler:           http.HandlerFunc(p.handle),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go p.srv.Serve(ln)
 	return p, nil
 }

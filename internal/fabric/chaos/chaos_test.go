@@ -167,3 +167,16 @@ func TestStallFreezesThenResumes(t *testing.T) {
 		t.Fatalf("stall not counted: %+v", c)
 	}
 }
+
+// TestServerTimeouts: the proxy's http.Server bounds header reads and
+// idle keep-alive connections with gbd-server's values, and sets no
+// whole-request read or write deadline, which would cut stalled streams.
+func TestServerTimeouts(t *testing.T) {
+	p := start(t, Config{Target: "http://127.0.0.1:1"})
+	if p.srv.ReadHeaderTimeout != 10*time.Second || p.srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want 10s and 2m", p.srv.ReadHeaderTimeout, p.srv.IdleTimeout)
+	}
+	if p.srv.ReadTimeout != 0 || p.srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want both unset", p.srv.ReadTimeout, p.srv.WriteTimeout)
+	}
+}
