@@ -1,7 +1,7 @@
 // Command gbd-bench runs the hot-path benchmarks in-process via
 // testing.Benchmark and emits a machine-readable JSON report, so CI and
 // the committed BENCH_*.json snapshots (BENCH_PR2.json through
-// BENCH_PR8.json) use the same measurement path as `go test -bench`. The
+// BENCH_PR10.json) use the same measurement path as `go test -bench`. The
 // benchmark bodies mirror bench_test.go exactly; this command exists
 // because test binaries cannot be imported, while the tracked snapshots
 // must be regenerable with one command.
@@ -9,14 +9,14 @@
 // -compare gates the run against a committed snapshot: if a gated
 // benchmark (SimulationSingleTrial, ServedAnalyzeCached) regresses more
 // than 10% in ns/op against the baseline file, the command exits
-// non-zero. CI runs `gbd-bench -compare BENCH_PR7.json` so the headline
+// non-zero. CI runs `gbd-bench -compare BENCH_PR8.json` so the headline
 // numbers cannot silently drift back. ServedBatch and PeerForwardedHit
 // track the PR-8 fleet surfaces (informational — HTTP-path variance is
 // too wide to gate on).
 //
 // Usage:
 //
-//	gbd-bench [-out BENCH_PR8.json] [-compare BENCH_PR7.json]
+//	gbd-bench [-out BENCH_PR10.json] [-compare BENCH_PR8.json]
 package main
 
 import (
